@@ -49,6 +49,7 @@ from .simulate import (
     MODE_BOUND,
     MODE_FULL,
     RNG_ALGORITHM,
+    RNG_LAYOUT,
     SimConfig,
     SimStats,
     SlotOutcome,
@@ -76,6 +77,7 @@ __all__ = [
     "NonConvergenceError",
     "OptimizationResult",
     "RNG_ALGORITHM",
+    "RNG_LAYOUT",
     "SeriesTruncation",
     "SimConfig",
     "SimOverrides",

@@ -34,6 +34,7 @@ from .simulate import (
     MODE_BOUND,
     MODE_FULL,
     RNG_ALGORITHM,
+    RNG_LAYOUT,
     SimConfig,
     simulate,
 )
@@ -250,7 +251,8 @@ def _cmd_simulate(args) -> None:
         "relay_decode_rate_mean":
             sum(stats.relay_decode_rate) / len(stats.relay_decode_rate),
     }
-    comments = [f"relay-aloha {__version__}", f"rng={RNG_ALGORITHM}"]
+    comments = [f"relay-aloha {__version__}",
+                f"rng={RNG_ALGORITHM} layout={RNG_LAYOUT}"]
     _emit(args, list(row), [row], comments)
 
 

@@ -18,6 +18,7 @@ against each other and against the simulator in the test suite.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .kernels import (
@@ -63,15 +64,22 @@ class SystemParams:
     def __post_init__(self) -> None:
         if not (self.g >= 0.0) or not math.isfinite(self.g):
             raise ValueError(f"g must be finite and >= 0, got {self.g}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        try:
+            if isinstance(self.k, bool):  # an int subclass, but no count
+                raise TypeError
+            k = operator.index(self.k)
+        except TypeError:
+            raise ValueError(f"k must be an integer, got {self.k!r}") from None
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        object.__setattr__(self, "k", k)
         for name in ("eps_u", "eps_d", "delta"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThroughputResult:
     """A throughput value plus how it was obtained.
 

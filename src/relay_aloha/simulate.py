@@ -10,25 +10,32 @@ Relays never buffer: a packet is forwarded immediately or never.
 
 Two sampling routes, identical in law:
 
-* the estimation route draws one uniform per (relay, slot) and compares
-  it against nested thresholds p_n >= p_n*delta >= p_n*delta*(1-eps_d),
-  which reproduces the joint law of the decode/forward/arrival chain
-  with a fifth of the random numbers of per-event coins;
+* the estimation route (``simulate``) plays the slots in chunks of
+  ``_CHUNK``.  It draws each slot's occupancy class by inverse CDF from
+  one float64 uniform, then one float32 uniform per (relay, slot),
+  compared against nested thresholds p_n >= p_n*delta >=
+  p_n*delta*(1-eps_d); that reproduces the joint law of the
+  decode/forward/arrival chain with a fifth of the random numbers of
+  per-event coins.  Memory is bounded by the chunk, whatever the run
+  length;
 * the trace route (``simulate_trace``) materializes per-relay survivor
   counts via binomial thinning of the offered batch, so slot-by-slot
-  records carry the actual arrival counts.
+  records carry the actual arrival counts.  It shares no sampling code
+  with the estimation route and so checks the nested-threshold trick.
 
-Both are deterministic given (seed, stream_id); the bit generator
-identity is recorded in the returned stats.
+Both are deterministic given (seed, stream_id); the bit generator and
+the order of its draws are recorded in the returned stats.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import default_truncation
 from .model import SystemParams
 
 MODE_FULL = "full_system"
@@ -36,9 +43,25 @@ MODE_BOUND = "bound_uplink_only"
 
 RNG_ALGORITHM = "philox4x64"
 
+# Slots played per chunk of the estimation route.  Part of the RNG
+# layout: changing it changes every estimate at a given seed.
+_CHUNK = 1 << 15
+
+# Draw order of the estimation route, per chunk of up to _CHUNK slots:
+# one float64 per slot for the occupancy, then for each relay in turn
+# one float32 per slot.
+RNG_LAYOUT = f"chunk{_CHUNK}:occupancy-f64,relays-f32xk"
+# Draw order of the trace route: Poisson occupancies for the whole run,
+# then binomial survivor counts relay by relay, then (full mode only)
+# one float64 per (relay, slot) for the forwarding coins.
+_TRACE_LAYOUT = "whole-run:occupancy-poisson,relays-binomialxk,relays-f64xk"
+
 _MASK64 = (1 << 64) - 1
 _CI_BATCHES = 100
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+# The occupancy table stops where the Poisson upper tail drops below
+# the resolution of a float64 uniform.
+_TAIL = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -94,7 +117,7 @@ class SlotOutcome:
     sink_decoded: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimStats:
     """Estimates and counters from one run.
 
@@ -104,6 +127,8 @@ class SimStats:
     measurement window.  Totals count over every simulated slot
     (including warmup) and satisfy
     delivered <= sink arrivals <= forwards <= decodes.
+    ``rng_layout`` names the order in which the route drew its random
+    numbers (:data:`RNG_LAYOUT` for :func:`simulate`).
     """
 
     delivered_packets: int
@@ -120,6 +145,7 @@ class SimStats:
     stream_id: int
     mode: str
     rng_algorithm: str = RNG_ALGORITHM
+    rng_layout: str = RNG_LAYOUT
 
 
 def rng_substream(seed: int, stream_id: int = 0) -> np.random.Generator:
@@ -143,20 +169,157 @@ def _decode_prob_table(n_max: int, eps_u: float) -> np.ndarray:
     return tab
 
 
-def _batch_ci95(window: np.ndarray) -> float:
-    """95% half-width from batch means of a per-slot success vector."""
-    n = window.shape[0]
-    b = min(_CI_BATCHES, n)
-    if b < 2:
-        return 0.0
-    means = np.array([c.mean() for c in np.array_split(window, b)])
-    return _Z95 * means.std(ddof=1) / math.sqrt(b)
+def _occupancy_cdf(g: float) -> np.ndarray:
+    """Inverse-CDF table of the Poisson(g) slot occupancy.
+
+    Returns P[N <= n] for n = 0..c-1, where c is the least count with
+    P[N > c] < 2^-53, so ``searchsorted(table, u, side="right")`` maps a
+    uniform u to a class in 0..c and class c absorbs the upper tail.
+    """
+    if g == 0.0:
+        return np.empty(0)
+    ns = np.arange(default_truncation(g).n_max_hard + 1, dtype=np.float64)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(ns[1:]))))
+    pmf = np.exp(ns * math.log(g) - g - log_fact)
+    above = np.cumsum(pmf[::-1])[::-1][1:]  # above[n] = P[n < N <= cap]
+    c = int(np.argmax(above < _TAIL))
+    return np.cumsum(pmf[:c])
+
+
+class _BatchMeans:
+    """Success counts per batch of the measurement window, fed in order.
+
+    The batches are those ``np.array_split(window, min(100, n))`` cuts,
+    so the half-width equals the batch-means one over the whole window.
+    """
+
+    def __init__(self, n: int) -> None:
+        b = min(_CI_BATCHES, n)
+        q, r = divmod(n, b)
+        self.sizes = [q + 1] * r + [q] * (b - r)
+        self.ends = list(itertools.accumulate(self.sizes))
+        self.counts = [0] * b
+        self.batch = 0  # the batch being filled
+        self.fed = 0  # measured slots counted so far
+
+    def add(self, success: np.ndarray) -> None:
+        """Count the next ``success.size`` measured slots."""
+        start = 0
+        while start < success.size:
+            end = self.ends[self.batch]
+            take = min(end - self.fed, success.size - start)
+            self.counts[self.batch] += int(
+                np.count_nonzero(success[start:start + take]))
+            start += take
+            self.fed += take
+            if self.fed == end:
+                self.batch += 1
+
+    def ci95(self) -> float:
+        """95% half-width from the batch means."""
+        b = len(self.counts)
+        if b < 2:
+            return 0.0
+        means = np.array(self.counts) / np.array(self.sizes)
+        return _Z95 * float(means.std(ddof=1)) / math.sqrt(b)
+
+
+def _stats(config: SimConfig, batches: _BatchMeans, decode_hits: np.ndarray,
+           union_hits: int, collisions: int, total_decodes: int,
+           total_forwards: int, total_sink_arrivals: int,
+           rng_layout: str) -> SimStats:
+    """SimStats from a run's counters (numpy or Python integers)."""
+    n = config.n_slots
+    delivered = sum(batches.counts)
+    return SimStats(
+        delivered_packets=delivered,
+        measured_slots=n,
+        throughput_estimate=delivered / n,
+        ci95_halfwidth=batches.ci95(),
+        relay_decode_rate=tuple((decode_hits / n).tolist()),
+        uplink_union_rate=int(union_hits) / n,
+        sink_collision_rate=int(collisions) / n,
+        total_decodes=int(total_decodes),
+        total_forwards=int(total_forwards),
+        total_sink_arrivals=int(total_sink_arrivals),
+        seed=config.seed,
+        stream_id=config.stream_id,
+        mode=config.mode,
+        rng_layout=rng_layout,
+    )
 
 
 def simulate(config: SimConfig) -> SimStats:
-    """Run the protocol and estimate throughput (estimation route)."""
-    stats, _ = _run(config, trace=False)
-    return stats
+    """Run the protocol and estimate throughput (estimation route).
+
+    Plays the slots in chunks of ``_CHUNK`` in the draw order named by
+    :data:`RNG_LAYOUT`; memory does not grow with ``n_slots``.
+    """
+    p = config.params
+    k = p.k
+    w = config.warmup_slots
+    total_slots = w + config.n_slots
+    full = config.mode == MODE_FULL
+    rng = rng_substream(config.seed, config.stream_id)
+
+    cdf = _occupancy_cdf(p.g)
+    p_dec = _decode_prob_table(cdf.size, p.eps_u)
+    tables = [p_dec]
+    if full:
+        tables += [p_dec * p.delta, p_dec * (p.delta * (1.0 - p.eps_d))]
+    tables = [t.astype(np.float32) for t in tables]
+
+    m = min(_CHUNK, total_slots)
+    occ = np.empty(m)
+    thr = np.empty((len(tables), m), dtype=np.float32)
+    u = np.empty(m, dtype=np.float32)
+    hit = np.empty(m, dtype=bool)
+    union = np.empty(m, dtype=bool)
+    # sink[t] counts arrivals in slot t of a chunk of c slots; sink[c]
+    # collects the forwards of its last slot, carried into the next chunk.
+    sink = np.zeros(m + 1, dtype=np.int32)
+    batches = _BatchMeans(config.n_slots)
+    decode_hits = np.zeros(k, dtype=np.int64)
+    union_hits = collisions = 0
+    total_decodes = total_forwards = total_sink_arrivals = 0
+
+    for start in range(0, total_slots, m):
+        c = min(m, total_slots - start)
+        lo = min(max(w - start, 0), c)  # first measured slot of the chunk
+        rng.random(out=occ[:c])
+        cls = np.searchsorted(cdf, occ[:c], side="right")
+        for tab, row in zip(tables, thr):
+            np.take(tab, cls, out=row[:c])
+        thr_dec = thr[0, :c]
+        uc, hc, unc = u[:c], hit[:c], union[:c]
+        unc[:] = False
+        for i in range(k):
+            rng.random(out=uc, dtype=np.float32)
+            np.less(uc, thr_dec, out=hc)
+            unc |= hc
+            decode_hits[i] += np.count_nonzero(hc[lo:])
+            total_decodes += np.count_nonzero(hc)
+            if full:
+                np.less(uc, thr[1, :c], out=hc)
+                total_forwards += np.count_nonzero(hc)
+                np.less(uc, thr[2, :c], out=hc)
+                sink[1:c + 1] += hc
+        union_hits += np.count_nonzero(unc[lo:])
+        if full:
+            arrivals = sink[:c]
+            total_sink_arrivals += arrivals.sum()
+            collisions += np.count_nonzero(arrivals[lo:] >= 2)
+            success = arrivals[lo:] == 1
+            sink[0] = sink[c]
+            sink[1:] = 0
+        else:
+            success = unc[lo:]
+        if lo < c:
+            batches.add(success)
+
+    return _stats(config, batches, decode_hits, union_hits, collisions,
+                  total_decodes, total_forwards, total_sink_arrivals,
+                  RNG_LAYOUT)
 
 
 def simulate_trace(config: SimConfig) -> tuple[SimStats, list[SlotOutcome]]:
@@ -166,101 +329,42 @@ def simulate_trace(config: SimConfig) -> tuple[SimStats, list[SlotOutcome]]:
     :func:`simulate` at equal seeds even though the law is the same.
     Intended for small runs; memory grows with k * total slots.
     """
-    return _run(config, trace=True)
-
-
-def _run(config: SimConfig, trace: bool) -> tuple[SimStats, list[SlotOutcome]]:
     p = config.params
     k = p.k
-    total_slots = config.warmup_slots + config.n_slots
     w = config.warmup_slots
+    total_slots = w + config.n_slots
     full = config.mode == MODE_FULL
     rng = rng_substream(config.seed, config.stream_id)
 
     n_tx = rng.poisson(p.g, total_slots)
-    p_dec = _decode_prob_table(int(n_tx.max(initial=0)), p.eps_u)[n_tx]
-
-    if trace:
-        # Survivor counts per relay: binomial thinning of the offered batch.
-        arrivals = rng.binomial(n_tx, 1.0 - p.eps_u, size=(k, total_slots))
-        decoded = arrivals == 1
-        if full:
-            u = rng.random((k, total_slots))
-            forwarding = decoded & (u < p.delta)
-            arriving = forwarding & (u < p.delta * (1.0 - p.eps_d))
-        else:
-            forwarding = np.zeros_like(decoded)
-            arriving = forwarding
-        sink_in = arriving.sum(axis=0)
-        decode_window_hits = decoded[:, w:].sum(axis=1)
-        union = decoded.any(axis=0)
-        total_decodes = int(decoded.sum())
-        total_forwards = int(forwarding.sum())
-    else:
-        thr_dec = p_dec.astype(np.float32)
-        thr_fwd = (p_dec * p.delta).astype(np.float32)
-        thr_arr = (p_dec * (p.delta * (1.0 - p.eps_d))).astype(np.float32)
-        sink_in = np.zeros(total_slots, dtype=np.int16)
-        union = np.zeros(total_slots, dtype=bool)
-        decode_window_hits = np.empty(k, dtype=np.int64)
-        total_decodes = 0
-        total_forwards = 0
-        for i in range(k):
-            u = rng.random(total_slots, dtype=np.float32)
-            dec_i = u < thr_dec
-            union |= dec_i
-            decode_window_hits[i] = int(dec_i[w:].sum())
-            total_decodes += int(dec_i.sum())
-            if full:
-                total_forwards += int((u < thr_fwd).sum())
-                sink_in += u < thr_arr
-
+    # Survivor counts per relay: binomial thinning of the offered batch.
+    arrivals = rng.binomial(n_tx, 1.0 - p.eps_u, size=(k, total_slots))
+    decoded = arrivals == 1
+    sink_arrivals = np.zeros(total_slots, dtype=np.int64)
     if full:
+        u = rng.random((k, total_slots))
+        forwarding = decoded & (u < p.delta)
+        arriving = forwarding & (u < p.delta * (1.0 - p.eps_d))
         # Forwards land in the next slot; slot 0 has no predecessor.
-        sink_arrivals = np.zeros(total_slots, dtype=sink_in.dtype)
-        sink_arrivals[1:] = sink_in[:-1]
-        sink_decoded = sink_arrivals == 1
-        success = sink_decoded
-        total_sink_arrivals = int(sink_arrivals.sum())
-        collision_rate = float((sink_arrivals[w:] >= 2).mean())
+        sink_arrivals[1:] = arriving.sum(axis=0)[:-1]
     else:
-        sink_arrivals = np.zeros(total_slots, dtype=np.int16)
-        sink_decoded = np.zeros(total_slots, dtype=bool)
-        success = union
-        total_sink_arrivals = 0
-        collision_rate = 0.0
+        forwarding = np.zeros_like(decoded)
+    sink_decoded = sink_arrivals == 1
+    union = decoded.any(axis=0)
 
-    window = success[w:]
-    delivered = int(window.sum())
-    stats = SimStats(
-        delivered_packets=delivered,
-        measured_slots=config.n_slots,
-        throughput_estimate=delivered / config.n_slots,
-        ci95_halfwidth=_batch_ci95(window.astype(np.float64)),
-        relay_decode_rate=tuple(decode_window_hits / config.n_slots),
-        uplink_union_rate=float(union[w:].mean()),
-        sink_collision_rate=collision_rate,
-        total_decodes=total_decodes,
-        total_forwards=total_forwards,
-        total_sink_arrivals=total_sink_arrivals,
-        seed=config.seed,
-        stream_id=config.stream_id,
-        mode=config.mode,
+    batches = _BatchMeans(config.n_slots)
+    batches.add((sink_decoded if full else union)[w:])
+    stats = _stats(
+        config, batches, decoded[:, w:].sum(axis=1), union[w:].sum(),
+        (sink_arrivals[w:] >= 2).sum(), decoded.sum(), forwarding.sum(),
+        sink_arrivals.sum(), _TRACE_LAYOUT,
     )
-
-    outcomes: list[SlotOutcome] = []
-    if trace:
-        for t in range(total_slots):
-            outcomes.append(
-                SlotOutcome(
-                    n_tx=int(n_tx[t]),
-                    per_relay_arrivals=tuple(int(a) for a in arrivals[:, t]),
-                    relays_decoded=tuple(bool(d) for d in decoded[:, t]),
-                    relays_forwarding=tuple(
-                        bool(f) for f in forwarding[:, t]
-                    ),
-                    sink_arrivals=int(sink_arrivals[t]),
-                    sink_decoded=bool(sink_decoded[t]),
-                )
-            )
+    outcomes = [
+        SlotOutcome(n, tuple(a), tuple(d), tuple(f), s, sd)
+        for n, a, d, f, s, sd in zip(
+            n_tx.tolist(), arrivals.T.tolist(), decoded.T.tolist(),
+            forwarding.T.tolist(), sink_arrivals.tolist(),
+            sink_decoded.tolist(),
+        )
+    ]
     return stats, outcomes

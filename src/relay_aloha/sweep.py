@@ -39,7 +39,9 @@ from .model import (
     throughput_series,
 )
 from .optimize import optimize_delta
-from .simulate import RNG_ALGORITHM, MODE_FULL, SimConfig, simulate
+from .simulate import (
+    MODE_FULL, RNG_ALGORITHM, RNG_LAYOUT, SimConfig, simulate,
+)
 
 AXES = ("g", "delta", "eps", "eps_u", "eps_d", "k")
 OUTPUTS = ("analytic", "closed", "series", "bound", "simulated",
@@ -227,7 +229,8 @@ def sweep_comments(spec: SweepSpec) -> list[str]:
         sim = spec.sim if spec.sim is not None else SimOverrides()
         comments.append(
             f"simulation seed={sim.seed} n_slots={sim.n_slots} "
-            f"warmup={sim.warmup_slots} rng={RNG_ALGORITHM}"
+            f"warmup={sim.warmup_slots} rng={RNG_ALGORITHM} "
+            f"layout={RNG_LAYOUT}"
         )
     return comments
 

@@ -212,19 +212,36 @@ def test_c09_simulator_against_analytic_model_on_the_grid():
     t0 = time.perf_counter()
     grid = full_grid()
     failures = []
+    # diagnostics only: the pass rule below does not read them
+    sim_slots, sim_s = 0, 0.0
+    worst_z, worst_p = 0.0, None
+
+    def run(cfg):
+        nonlocal sim_slots, sim_s
+        t = time.perf_counter()
+        st = simulate(cfg)
+        sim_s += time.perf_counter() - t
+        sim_slots += cfg.warmup_slots + cfg.n_slots
+        return st
+
     for i, (g, k, eu, ed, d) in enumerate(grid):
         p = SystemParams(g, k, eu, ed, d)
-        st = simulate(
+        st = run(
             SimConfig(params=p, n_slots=1_000_000, seed=SEED, stream_id=i)
         )
         target = throughput(p, cache).value
-        if abs(st.throughput_estimate - target) > 3 * st.ci95_halfwidth:
+        gap = abs(st.throughput_estimate - target)
+        if gap > 3 * st.ci95_halfwidth:
             failures.append((i, p, st.throughput_estimate, target))
+        z = gap / st.ci95_halfwidth if st.ci95_halfwidth > 0 else (
+            0.0 if gap == 0 else math.inf)
+        if worst_p is None or z > worst_z:
+            worst_z, worst_p = z, (g, k, eu, ed, d)
     pass_rate = 1.0 - len(failures) / len(grid)
     # retry the statistical outliers once at 10x the slots
     persistent = []
     for (i, p, est, target) in failures:
-        st = simulate(
+        st = run(
             SimConfig(params=p, n_slots=10_000_000, seed=SEED + 1,
                       stream_id=i)
         )
@@ -236,7 +253,9 @@ def test_c09_simulator_against_analytic_model_on_the_grid():
         9, ok,
         f"{len(grid)} points, pass rate {pass_rate:.4f} (>=0.99), "
         f"{len(failures)} outliers, {len(persistent)} persistent, "
-        f"{elapsed:.0f}s (<300s)",
+        f"{elapsed:.0f}s (<300s); worst |z| {worst_z:.2f} half-widths at "
+        f"(g, k, eps_u, eps_d, delta)={worst_p}; "
+        f"{sim_slots / sim_s:.3g} simulated slots/s",
     )
 
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from relay_aloha import RNG_ALGORITHM, RNG_LAYOUT
 from relay_aloha.cli import cli_main
 
 
@@ -133,6 +134,14 @@ class TestSimulateCommand:
         (eval_row,) = parse_csv(out)
         est, ci = float(sim_row["estimate"]), float(sim_row["ci95"])
         assert abs(est - float(eval_row["s"])) <= 3 * ci
+
+    def test_rng_comment_names_the_layout(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--g", "1", "--k", "2", "--eps-u", "0.3",
+            "--eps-d", "0.3", "--delta", "1", "--slots", "1000",
+        )
+        assert code == 0
+        assert f"# rng={RNG_ALGORITHM} layout={RNG_LAYOUT}\n" in out
 
     def test_bound_mode(self, capsys):
         code, out, _ = run_cli(

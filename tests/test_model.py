@@ -2,6 +2,7 @@ import itertools
 import math
 from decimal import Decimal, getcontext
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -52,6 +53,25 @@ def enumerate_single_survivor(n, eps):
         if sum(pattern) == 1:
             total += w
     return total
+
+
+class TestSystemParams:
+    @pytest.mark.parametrize("k", [3, np.int64(3), np.int32(3), np.uint8(3)])
+    def test_integer_relay_counts_become_int(self, k):
+        p = SystemParams(1.0, k, 0.3, 0.3, 1.0)
+        assert p.k == 3 and type(p.k) is int
+
+    @pytest.mark.parametrize(
+        "k", [2.5, 3.0, np.float64(3.0), True, False, np.True_, "3", None]
+    )
+    def test_non_integer_relay_count_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            SystemParams(1.0, k, 0.3, 0.3, 1.0)
+
+    @pytest.mark.parametrize("k", [0, -1, np.int64(0)])
+    def test_relay_count_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            SystemParams(1.0, k, 0.3, 0.3, 1.0)
 
 
 class TestUplinkDecoding:

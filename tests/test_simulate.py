@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from relay_aloha import (
     MODE_BOUND,
     RNG_ALGORITHM,
+    RNG_LAYOUT,
     SimConfig,
     SystemParams,
     bound_series,
@@ -16,6 +18,13 @@ from relay_aloha import (
     simulate_trace,
     throughput,
     throughput_sa,
+    throughput_series,
+)
+from relay_aloha.simulate import (
+    _CHUNK,
+    _BatchMeans,
+    _decode_prob_table,
+    _occupancy_cdf,
 )
 
 
@@ -222,6 +231,17 @@ class TestTrace:
         assert s1 == s2
         assert t1 == t2
 
+    def test_records_hold_python_scalars(self):
+        _, stats, outcomes = self._trace(n_slots=300)
+        assert stats.rng_layout != RNG_LAYOUT  # its own draw order
+        for slot in outcomes:
+            assert type(slot.n_tx) is int
+            assert type(slot.sink_arrivals) is int
+            assert type(slot.sink_decoded) is bool
+            assert all(type(a) is int for a in slot.per_relay_arrivals)
+            assert all(type(d) is bool for d in slot.relays_decoded)
+            assert all(type(f) is bool for f in slot.relays_forwarding)
+
 
 class TestBoundMode:
     def _cfg(self, delta, eps_d, **kw):
@@ -267,3 +287,160 @@ class TestStatsShape:
         assert 0.0 <= st.sink_collision_rate <= 1.0
         assert all(0.0 <= r <= 1.0 for r in st.relay_decode_rate)
         assert 0.0 <= st.throughput_estimate <= 1.0
+
+    @pytest.mark.parametrize("run", [simulate, lambda c: simulate_trace(c)[0]])
+    def test_python_scalars(self, run):
+        st = run(SimConfig(params=SystemParams(1.0, 3, 0.1, 0.1, 1.0),
+                           n_slots=1000, seed=0))
+        for f in dataclasses.fields(st):
+            v = getattr(st, f.name)
+            if f.name == "relay_decode_rate":
+                assert all(type(r) is float for r in v)
+            else:
+                assert type(v) is {"int": int, "float": float,
+                                   "str": str}[f.type], f.name
+
+
+def replay(cfg):
+    """SimStats of ``simulate(cfg)`` rebuilt from whole-run arrays.
+
+    Draws the same numbers in the same order (:data:`RNG_LAYOUT`), but
+    keeps every slot and reduces at the end, as a single-chunk simulator
+    would; the counters must match the streamed ones exactly.
+    """
+    p = cfg.params
+    total = cfg.warmup_slots + cfg.n_slots
+    w = cfg.warmup_slots
+    full = cfg.mode != MODE_BOUND
+    rng = rng_substream(cfg.seed, cfg.stream_id)
+    cdf = _occupancy_cdf(p.g)
+    p_dec = _decode_prob_table(cdf.size, p.eps_u)
+    occ, relay_u = [], []
+    for start in range(0, total, _CHUNK):
+        c = min(_CHUNK, total - start)
+        occ.append(np.searchsorted(cdf, rng.random(c), side="right"))
+        relay_u.append([rng.random(c, dtype=np.float32) for _ in range(p.k)])
+    pn = p_dec[np.concatenate(occ)]
+    u = np.hstack([np.stack(us) for us in relay_u])
+    decoded = u < pn.astype(np.float32)
+    forwards = u < (pn * p.delta).astype(np.float32)
+    lands = u < (pn * (p.delta * (1.0 - p.eps_d))).astype(np.float32)
+    union = decoded.any(axis=0)
+    sink = np.zeros(total, dtype=np.int64)
+    sink[1:] = lands.sum(axis=0)[:-1]
+    window = (sink == 1 if full else union)[w:]
+    means = [c.mean() for c in np.array_split(window.astype(np.float64),
+                                               min(100, cfg.n_slots))]
+    n = cfg.n_slots
+    return dict(
+        delivered_packets=int(window.sum()),
+        ci95_halfwidth=(1.959963984540054 * float(np.std(means, ddof=1))
+                        / math.sqrt(len(means))) if len(means) > 1 else 0.0,
+        relay_decode_rate=tuple((decoded[:, w:].sum(axis=1) / n).tolist()),
+        uplink_union_rate=int(union[w:].sum()) / n,
+        sink_collision_rate=int((sink[w:] >= 2).sum()) / n if full else 0.0,
+        total_decodes=int(decoded.sum()),
+        total_forwards=int(forwards.sum()) if full else 0,
+        total_sink_arrivals=int(sink.sum()) if full else 0,
+    )
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("mode", ["full_system", MODE_BOUND])
+    @pytest.mark.parametrize("warmup, n_slots", [
+        (1, 2 * _CHUNK - 1),                    # window starts in chunk 0
+        (2 * _CHUNK + 777, _CHUNK + 4321),      # warmup ends in chunk 2
+        (5, 37),                                # one short chunk
+    ])
+    def test_matches_whole_run_replay(self, mode, warmup, n_slots):
+        cfg = SimConfig(params=SystemParams(1.7, 3, 0.3, 0.2, 0.6),
+                        n_slots=n_slots, warmup_slots=warmup, seed=41,
+                        stream_id=3, mode=mode)
+        st = simulate(cfg)
+        for name, want in replay(cfg).items():
+            assert getattr(st, name) == want, name
+
+    def test_sink_arrivals_carry_across_chunks(self):
+        # With a lossless downlink every forward reaches the sink in the
+        # next slot; only the last slot's forwards (at most k) are never
+        # counted.  A carry lost at any of the ten chunk boundaries would
+        # drop about k/e forwards.
+        k = 4
+        st = simulate(SimConfig(
+            params=SystemParams(1.25, k, 0.2, 0.0, 1.0),
+            n_slots=10 * _CHUNK + 123, seed=43))
+        assert 0 <= st.total_forwards - st.total_sink_arrivals <= k
+
+    @pytest.mark.parametrize("mode", ["full_system", MODE_BOUND])
+    def test_warmup_ending_inside_a_later_chunk(self, mode):
+        n_slots = 2 * _CHUNK + 4321
+        assert n_slots % 100 and n_slots % _CHUNK
+        st = simulate(SimConfig(
+            params=SystemParams(1.4, 3, 0.3, 0.3, 0.8), n_slots=n_slots,
+            warmup_slots=_CHUNK + 1234, seed=47, mode=mode))
+        assert st.measured_slots == n_slots
+        if mode == MODE_BOUND:
+            assert st.total_forwards == st.total_sink_arrivals == 0
+            assert st.uplink_union_rate == st.throughput_estimate
+        else:
+            assert (0 <= st.delivered_packets <= st.total_sink_arrivals
+                    <= st.total_forwards <= st.total_decodes)
+
+    def test_batch_sums_equal_array_split_means(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 99, 100, 101, 1234, 5000):
+            x = rng.random(n) < 0.3
+            cuts = np.sort(rng.integers(0, n + 1, size=rng.integers(0, 6)))
+            batches = _BatchMeans(n)
+            for piece in np.split(x, cuts):
+                if piece.size:
+                    batches.add(piece)
+            split = np.array_split(x.astype(np.float64), min(100, n))
+            means = np.array(batches.counts) / np.array(batches.sizes)
+            assert np.array_equal(means, [c.mean() for c in split])
+
+    def test_no_load_delivers_nothing(self):
+        st = simulate(SimConfig(params=SystemParams(0.0, 3, 0.3, 0.3, 1.0),
+                                n_slots=50_000, seed=53))
+        assert st.delivered_packets == st.total_decodes == 0
+        assert st.ci95_halfwidth == 0.0
+
+    def test_heavy_load_runs(self):
+        p = SystemParams(300.0, 2, 0.99, 0.1, 0.5)
+        st = simulate(SimConfig(params=p, n_slots=100_000, seed=59))
+        assert st.total_decodes > 0
+        assert within_ci(st.throughput_estimate, throughput_series(p).value,
+                         st.ci95_halfwidth)
+
+    def test_equal_seeds_bit_identical_over_several_chunks(self):
+        cfg = SimConfig(params=SystemParams(2.0, 5, 0.3, 0.3, 0.5),
+                        n_slots=3 * _CHUNK + 5, seed=61, stream_id=9)
+        assert simulate(cfg) == simulate(cfg)
+        assert simulate(cfg).rng_layout == RNG_LAYOUT
+
+    @pytest.mark.parametrize("n_slots", [100_000, 2_000_000])
+    def test_memory_is_flat_in_n_slots(self, n_slots):
+        cfg = SimConfig(params=SystemParams(2.0, 8, 0.3, 0.3, 0.5),
+                        n_slots=n_slots, seed=67)
+        simulate(dataclasses.replace(cfg, n_slots=10))  # lazy imports
+        tracemalloc.start()
+        try:
+            simulate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+
+    def test_integer_like_relay_counts(self):
+        a = simulate(SimConfig(params=SystemParams(1.4, np.int64(3), 0.3,
+                                                   0.3, 0.8),
+                               n_slots=5000, seed=71))
+        b = simulate(SimConfig(params=SystemParams(1.4, 3, 0.3, 0.3, 0.8),
+                               n_slots=5000, seed=71))
+        assert a == b
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, True])
+    def test_non_integer_relay_count_is_a_domain_error(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            simulate(SimConfig(params=SystemParams(1.4, k, 0.3, 0.3, 0.8),
+                               n_slots=100))

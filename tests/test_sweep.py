@@ -4,6 +4,8 @@ import math
 import pytest
 
 from relay_aloha import (
+    RNG_ALGORITHM,
+    RNG_LAYOUT,
     SimOverrides,
     SweepSpec,
     SystemParams,
@@ -171,6 +173,12 @@ class TestCsvWriting:
         header = next(l for l in lines if not l.startswith("#"))
         assert header.split(",")[0] == "g"
         assert "\r" not in outs[0]
+
+    def test_simulated_sweep_comment_names_the_rng_layout(self):
+        spec = SweepSpec(axis="g", values=(1.0,), fixed=FIXED,
+                         outputs=("simulated",))
+        assert any(c.endswith(f"rng={RNG_ALGORITHM} layout={RNG_LAYOUT}")
+                   for c in sweep_comments(spec))
 
 
 class TestFigureTables:
