@@ -15,7 +15,7 @@ import argparse
 import itertools
 import time
 
-from relay_aloha import HCache, SimConfig, SystemParams, simulate, throughput
+from relay_aloha import SimConfig, SystemParams, simulate, throughput
 
 GRID_G = (0.25, 0.5, 1.0, 2.0, 4.0)
 GRID_K = tuple(range(1, 9))
@@ -35,7 +35,6 @@ def main() -> None:
     grid = list(
         itertools.product(GRID_G, GRID_K, GRID_EPS_U, GRID_EPS_D, GRID_DELTA)
     )
-    cache = HCache()
     rows = []
     failures = 0
     worst = (0.0, None)
@@ -44,7 +43,7 @@ def main() -> None:
         params = SystemParams(g, k, eu, ed, d)
         st = simulate(SimConfig(params=params, n_slots=args.slots,
                                 seed=args.seed, stream_id=i))
-        target = throughput(params, cache).value
+        target = throughput(params).value
         gap = abs(st.throughput_estimate - target)
         ok = gap <= 3 * st.ci95_halfwidth
         failures += not ok

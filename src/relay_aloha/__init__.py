@@ -11,7 +11,6 @@ against a slot-level Monte Carlo simulator.
 __version__ = "0.1.0"
 
 from .kernels import (
-    HCache,
     NonConvergenceError,
     SeriesTruncation,
     ancillary_h,
@@ -70,7 +69,6 @@ from .sweep import (
 __all__ = [
     "EPS_FLOOR",
     "FIGURE_IDS",
-    "HCache",
     "K_CLOSED_MAX",
     "MODE_BOUND",
     "MODE_FULL",

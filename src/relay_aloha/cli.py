@@ -52,17 +52,22 @@ from .sweep import (
 )
 
 
-def _add_params(p: argparse.ArgumentParser, *, required: bool = True) -> None:
-    p.add_argument("--g", type=float, required=required, default=None if required else 1.0,
-                   help="channel load [packets/slot]")
-    p.add_argument("--k", type=int, required=required, default=None if required else 1,
-                   help="number of relays")
-    p.add_argument("--eps-u", type=float, required=required, default=None if required else 0.0,
-                   help="uplink erasure probability")
-    p.add_argument("--eps-d", type=float, required=required, default=None if required else 0.0,
-                   help="downlink erasure probability")
-    p.add_argument("--delta", type=float, required=required, default=None if required else 1.0,
-                   help="forwarding probability")
+_PARAMS = {  # name: (type, default when optional, help)
+    "g": (float, 1.0, "channel load [packets/slot]"),
+    "k": (int, 1, "number of relays"),
+    "eps_u": (float, 0.0, "uplink erasure probability"),
+    "eps_d": (float, 0.0, "downlink erasure probability"),
+    "delta": (float, 1.0, "forwarding probability"),
+}
+
+
+def _add_params(p: argparse.ArgumentParser, names: str = "g k eps_u eps_d delta",
+                *, required: bool = True) -> None:
+    for name in names.split():
+        kind, default, help_ = _PARAMS[name]
+        p.add_argument("--" + name.replace("_", "-"), type=kind,
+                       required=required,
+                       default=None if required else default, help=help_)
 
 
 def _add_out(p: argparse.ArgumentParser) -> None:
@@ -86,35 +91,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
 
     p = sub.add_parser("bound", help="upper-bound throughput at one point")
-    p.add_argument("--g", type=float, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps-u", type=float, required=True)
+    _add_params(p, "g k eps_u")
     p.add_argument("--method", choices=("auto", "closed", "series"),
                    default="auto")
     _add_out(p)
 
     p = sub.add_parser("optimize-delta",
                        help="best forwarding probability at fixed load")
-    p.add_argument("--g", type=float, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps-u", type=float, required=True)
-    p.add_argument("--eps-d", type=float, required=True)
+    _add_params(p, "g k eps_u eps_d")
     p.add_argument("--arg-tol", type=float, default=DEFAULT_ARG_TOL)
     _add_out(p)
 
     p = sub.add_parser("optimize-load", help="best channel load")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps-u", type=float, required=True)
-    p.add_argument("--eps-d", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    _add_params(p, "k eps_u eps_d delta")
     p.add_argument("--g-max", type=float, default=DEFAULT_G_MAX)
     p.add_argument("--arg-tol", type=float, default=DEFAULT_ARG_TOL)
     _add_out(p)
 
     p = sub.add_parser("optimize-k",
                        help="best relay count, delta-optimized per count")
-    p.add_argument("--eps-u", type=float, required=True)
-    p.add_argument("--eps-d", type=float, required=True)
+    _add_params(p, "eps_u eps_d")
     p.add_argument("--g", type=float, default=None,
                    help="fixed load; omit for the peak-load rule 1/(1-eps_u)")
     p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
@@ -159,75 +155,59 @@ def _emit(args, columns, rows, comments) -> None:
             write_csv(f, columns, rows, comments)
 
 
+def _emit_row(args, row) -> None:
+    _emit(args, list(row), [row], [f"relay-aloha {__version__}"])
+
+
 def _cmd_eval(args) -> None:
     params = SystemParams(args.g, args.k, args.eps_u, args.eps_d, args.delta)
-    if args.method == "closed":
-        r = throughput_closed(params)
-    elif args.method == "series":
-        r = throughput_series(params)
-    else:
-        r = throughput(params)
-    row = {
+    r = {"closed": throughput_closed, "series": throughput_series}.get(
+        args.method, throughput)(params)
+    _emit_row(args, {
         "g": params.g, "k": params.k, "eps_u": params.eps_u,
         "eps_d": params.eps_d, "delta": params.delta,
         "s": r.value, "s_err": r.est_abs_error, "method": r.method,
         "terms": r.terms_used,
-    }
-    _emit(args, list(row), [row], [f"relay-aloha {__version__}"])
+    })
 
 
 def _cmd_bound(args) -> None:
-    if args.method == "closed":
-        r = bound_closed(args.g, args.k, args.eps_u)
-    elif args.method == "series":
-        r = bound_series(args.g, args.k, args.eps_u)
-    else:
-        r = bound(args.g, args.k, args.eps_u)
-    row = {
+    r = {"closed": bound_closed, "series": bound_series}.get(
+        args.method, bound)(args.g, args.k, args.eps_u)
+    _emit_row(args, {
         "g": args.g, "k": args.k, "eps_u": args.eps_u,
         "s_bound": r.value, "s_bound_err": r.est_abs_error,
         "method": r.method, "terms": r.terms_used,
-    }
-    _emit(args, list(row), [row], [f"relay-aloha {__version__}"])
+    })
+
+
+def _emit_optimum(args, row, arg_name, r) -> None:
+    row.update({arg_name: r.arg_star, "s_star": r.value_star,
+                "method": r.method, "evaluations": r.evaluations,
+                "arg_tol": r.arg_tol})
+    _emit_row(args, row)
 
 
 def _cmd_optimize_delta(args) -> None:
-    SystemParams(args.g, args.k, args.eps_u, args.eps_d, 0.0)
     r = optimize_delta(args.g, args.k, args.eps_u, args.eps_d, args.arg_tol)
-    row = {
-        "g": args.g, "k": args.k, "eps_u": args.eps_u, "eps_d": args.eps_d,
-        "delta_star": r.arg_star, "s_star": r.value_star,
-        "method": r.method, "evaluations": r.evaluations,
-        "arg_tol": r.arg_tol,
-    }
-    _emit(args, list(row), [row], [f"relay-aloha {__version__}"])
+    _emit_optimum(args, {"g": args.g, "k": args.k, "eps_u": args.eps_u,
+                         "eps_d": args.eps_d}, "delta_star", r)
 
 
 def _cmd_optimize_load(args) -> None:
-    SystemParams(1.0, args.k, args.eps_u, args.eps_d, args.delta)
     r = optimize_load(args.k, args.eps_u, args.eps_d, args.delta,
                       args.g_max, args.arg_tol)
-    row = {
-        "k": args.k, "eps_u": args.eps_u, "eps_d": args.eps_d,
-        "delta": args.delta, "g_star": r.arg_star, "s_star": r.value_star,
-        "method": r.method, "evaluations": r.evaluations,
-        "arg_tol": r.arg_tol,
-    }
-    _emit(args, list(row), [row], [f"relay-aloha {__version__}"])
+    _emit_optimum(args, {"k": args.k, "eps_u": args.eps_u,
+                         "eps_d": args.eps_d, "delta": args.delta},
+                  "g_star", r)
 
 
 def _cmd_optimize_k(args) -> None:
-    SystemParams(1.0, 1, args.eps_u, args.eps_d, 0.0)
     r = optimize_k(args.eps_u, args.eps_d, args.k_max, args.arg_tol,
                    g=args.g)
-    row = {
-        "eps_u": args.eps_u, "eps_d": args.eps_d,
-        "g_rule": "peak_load" if args.g is None else args.g,
-        "k_star": r.arg_star, "s_star": r.value_star,
-        "method": r.method, "evaluations": r.evaluations,
-        "arg_tol": r.arg_tol,
-    }
-    _emit(args, list(row), [row], [f"relay-aloha {__version__}"])
+    _emit_optimum(args, {"eps_u": args.eps_u, "eps_d": args.eps_d,
+                         "g_rule": "peak_load" if args.g is None else args.g},
+                  "k_star", r)
 
 
 def _cmd_simulate(args) -> None:

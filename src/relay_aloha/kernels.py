@@ -1,16 +1,16 @@
 """Scalar numeric kernels shared by the analytic throughput model.
 
 Everything in :mod:`relay_aloha.model` is assembled from three ingredients:
-the weighted exponential sums H_m(x) = sum_{n>=0} x^n n^m / n!, Poisson
-probabilities, and binomial coefficients.  This module provides all three,
-with a brute-force series evaluator of H_m kept around as an independent
-cross-check of the fast recursion.
+the weighted exponential sums H_m(x) = sum_{n>=0} x^n n^m / n! (through
+Touchard polynomials), Poisson probabilities, and binomial coefficients,
+with a brute-force series evaluator of H_m as an independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 DEFAULT_TOL = 1e-14
 
@@ -54,66 +54,72 @@ def default_truncation(g: float, tol: float = DEFAULT_TOL) -> SeriesTruncation:
     return SeriesTruncation(tol=tol, n_max_hard=hard)
 
 
-@dataclass
-class HCache:
-    """Memo table for H_m(x), keyed by exact (order, bit-pattern of x).
+def _stirling_rows(m_max: int) -> list[list[int]]:
+    """Rows m = 0..m_max of the Stirling numbers of the second kind,
+    S(m, j) = j S(m-1, j) + S(m-1, j-1) for j = 0..m, in exact integers."""
+    rows = [[1]]
+    for m in range(1, m_max + 1):
+        prev = rows[-1] + [0]
+        rows.append([0] + [j * prev[j] + prev[j - 1] for j in range(1, m + 1)])
+    return rows
 
-    Entries are immutable once inserted: a value is computed at most once
-    per key and every later lookup returns the identical float.  Inserts
-    are idempotent, so the cache may be shared across threads that only
-    read or re-insert equal values.
+
+# The highest order of H_m (and of the Touchard polynomial T_m) provided.
+H_MAX_ORDER = 32
+
+# Row m >= 1: the coefficients of T_m(x) / x = sum_{j>=1} S(m, j) x^(j-1),
+# highest power first, as floats for Horner.
+_TOUCHARD_OVER_X = tuple(
+    tuple(float(c) for c in reversed(row[1:]))
+    for row in _stirling_rows(H_MAX_ORDER)
+)
+
+
+def integer_arg(name: str, value: object) -> int:
+    """``value`` through ``operator.index`` (numpy integers pass); a float,
+    a string or a bool (an int, but no count) is a ValueError."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def touchard_over_x(m: int, x: float) -> float:
+    """T_m(x) / x for the Touchard polynomial T_m(x) = sum_j S(m, j) x^j.
+
+    A polynomial for m = 1..H_MAX_ORDER (unchecked: the closed forms'
+    hot path), by Horner; its coefficients are non-negative and
+    S(m, 1) = 1, so for x >= 0 it is >= 1 and accurate to a few ulps.
     """
-
-    max_order: int = 32
-    values: dict[tuple[int, float], float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.max_order < 0:
-            raise ValueError(f"max_order must be >= 0, got {self.max_order}")
+    t = 0.0
+    for c in _TOUCHARD_OVER_X[m]:
+        t = t * x + c
+    return t
 
 
-_SHARED_CACHE = HCache()
+def ancillary_h(m: int, x: float) -> float:
+    """H_m(x) = sum_{n>=0} x^n n^m / n! = e^x T_m(x).
 
-
-def ancillary_h(m: int, x: float, cache: HCache | None = None) -> float:
-    """H_m(x) = sum_{n>=0} x^n n^m / n!, via the order recursion.
-
-    H_0(x) = e^x and, for m >= 1,
-
-        H_m(x) = x * sum_{l=0}^{m-1} C(m-1, l) H_l(x),
-
-    which follows from shifting the summation index and expanding
-    (t+1)^(m-1) binomially.  The leading factor x is essential: it gives
-    H_1(x) = x e^x, matching the series definition (checked against
-    :func:`ancillary_h_oracle` in the test suite).
+    The identity follows from n^m = sum_j S(m, j) n(n-1)...(n-j+1) and
+    sum_n x^n / (n-j)! = x^j e^x (checked against
+    :func:`ancillary_h_oracle` in the test suite).  Orders above
+    H_MAX_ORDER and values past the float range (x above about 709)
+    are a ValueError.
     """
-    if m < 0:
-        raise ValueError(f"order m must be non-negative, got {m}")
+    m = integer_arg("order m", m)
+    if not 0 <= m <= H_MAX_ORDER:
+        raise ValueError(f"order m must be in 0..{H_MAX_ORDER}, got {m}")
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"x must be finite and non-negative, got {x}")
-    if cache is None:
-        cache = _SHARED_CACHE
-    if m > cache.max_order:
-        raise ValueError(
-            f"order {m} exceeds cache max_order {cache.max_order}"
-        )
-    hit = cache.values.get((m, x))
-    if hit is not None:
-        return hit
-    # Fill all lower orders at this x; each is needed by the recursion.
-    known: list[float] = []
-    for j in range(m + 1):
-        v = cache.values.get((j, x))
-        if v is None:
-            if j == 0:
-                v = math.exp(x)
-            else:
-                v = x * math.fsum(
-                    math.comb(j - 1, l) * known[l] for l in range(j)
-                )
-            cache.values[(j, x)] = v
-        known.append(v)
-    return known[m]
+    try:
+        h = math.exp(x) * (x * touchard_over_x(m, x) if m else 1.0)
+    except OverflowError:
+        h = math.inf
+    if h == math.inf:
+        raise ValueError(f"H_{m}({x}) exceeds the float range")
+    return h
 
 
 def ancillary_h_oracle(
@@ -123,7 +129,7 @@ def ancillary_h_oracle(
 
     Terms are accumulated until the sequence is past its maximum and the
     first omitted term is below ``trunc.tol``.  Independent of the
-    recursion in :func:`ancillary_h` by construction.
+    Touchard form in :func:`ancillary_h` by construction.
     """
     if m < 0:
         raise ValueError(f"order m must be non-negative, got {m}")

@@ -10,38 +10,59 @@ shared slotted-ALOHA downlink whose packets are erased with probability
 
 End-to-end throughput is the mean number of packets the sink decodes per
 slot.  It is available both as a truncated series over the slot occupancy
-and in closed form as an alternating sum built on the H_m kernels; the
-two paths agree to within series truncation error and are cross-checked
+and in closed form as an alternating sum built on the kernels
+e^-g H_m(x) = e^(x-g) T_m(x) (T_m the Touchard polynomial); the two paths
+agree to within their reported error estimates and are cross-checked
 against each other and against the simulator in the test suite.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
+from typing import Callable
 
 from .kernels import (
-    HCache,
     NonConvergenceError,
     SeriesTruncation,
-    ancillary_h,
     default_truncation,
+    integer_arg,
     poisson_pmf,
+    touchard_over_x,
 )
 
-# The closed forms carry eps_u**-(l+1) factors whose eps_u -> 0 limits are
-# finite but are never taken symbolically; below this floor the series
-# paths (exact and limit-free) take over.
+# Dispatch limits of the closed forms.  At eps_u <= EPS_FLOOR the paper's
+# eps_u**-m factors exist only as a limit; past K_CLOSED_MAX the
+# alternating sums shed digits (the cap is certified against a
+# high-precision evaluation in the test suite); loads from _G_CLOSED_MAX
+# on go to the series paths, which are exact and stable everywhere.
 EPS_FLOOR = 1e-6
-
-# Past this relay count the alternating closed-form sums shed digits; the
-# all-non-negative series paths remain stable for any k.  The cap choice
-# is certified against a high-precision evaluation in the test suite.
 K_CLOSED_MAX = 20
-
-# exp() overflows just above 709; route larger loads to the series paths.
 _G_CLOSED_MAX = 700.0
+
+# Weights w_m of the closed-form terms m = 1..k, for each k <= the cap:
+# (-1)^m C(k, m) in the bound, -m times that in the throughput.
+_BOUND_WEIGHTS = tuple(
+    tuple(float((-1) ** m * math.comb(k, m)) for m in range(1, k + 1))
+    for k in range(K_CLOSED_MAX + 1)
+)
+_THROUGHPUT_WEIGHTS = tuple(
+    tuple(-m * w for m, w in enumerate(row, 1)) for row in _BOUND_WEIGHTS
+)
+_UNIT_ROUNDOFF = 2.0**-53
+_SUBNORMAL_STEP = 2.0**-1074
+
+
+def _check_uplink(g: float, k: object, eps_u: float) -> int:
+    """The one check of (g, k, eps_u); returns k as an ``int``."""
+    if not 0.0 <= g < math.inf:
+        raise ValueError(f"g must be finite and >= 0, got {g}")
+    k = integer_arg("k", k)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not (0.0 <= eps_u <= 1.0):
+        raise ValueError(f"eps_u must be in [0, 1], got {eps_u}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -62,18 +83,9 @@ class SystemParams:
     delta: float
 
     def __post_init__(self) -> None:
-        if not (self.g >= 0.0) or not math.isfinite(self.g):
-            raise ValueError(f"g must be finite and >= 0, got {self.g}")
-        try:
-            if isinstance(self.k, bool):  # an int subclass, but no count
-                raise TypeError
-            k = operator.index(self.k)
-        except TypeError:
-            raise ValueError(f"k must be an integer, got {self.k!r}") from None
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        k = _check_uplink(self.g, self.k, self.eps_u)
         object.__setattr__(self, "k", k)
-        for name in ("eps_u", "eps_d", "delta"):
+        for name in ("eps_d", "delta"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
@@ -83,9 +95,10 @@ class SystemParams:
 class ThroughputResult:
     """A throughput value plus how it was obtained.
 
-    ``est_abs_error`` is 0 for closed forms, the Poisson tail bound for
-    truncated series, and the 95% CI half-width for simulation estimates,
-    so results from any path can be compared on equal footing.
+    ``est_abs_error`` is the rounding estimate (k + g + 8) 2^-53 sum|t_l|
+    over the alternating terms t_l for closed forms, the omitted Poisson
+    tail for truncated series, and the 95% CI half-width for simulation
+    estimates, so results from any path can be compared on equal footing.
     """
 
     value: float
@@ -121,12 +134,50 @@ def throughput_sa(g: float, eps_u: float) -> ThroughputResult:
     Poisson-averaging the single-survivor probability collapses to
     g (1-eps_u) e^(-g (1-eps_u)).
     """
-    if not (g >= 0.0):
-        raise ValueError(f"g must be non-negative, got {g}")
-    if not (0.0 <= eps_u <= 1.0):
-        raise ValueError(f"eps_u must be in [0, 1], got {eps_u}")
+    _check_uplink(g, 1, eps_u)
     ge = g * (1.0 - eps_u)
     return ThroughputResult(ge * math.exp(-ge), "closed_form", terms_used=1)
+
+
+def _poisson_weights(
+    g: float, trunc: SeriesTruncation | None
+) -> tuple[list[float], float]:
+    """P[N=n] for n = 0, 1, ... through the first n > g whose weight is
+    below ``trunc.tol``, and the omitted Poisson tail: each summand of
+    either series is at most its weight."""
+    if trunc is None:
+        trunc = default_truncation(g)
+    weights = []
+    cum = 0.0
+    for n in range(trunc.n_max_hard + 1):
+        w = poisson_pmf(n, g)
+        weights.append(w)
+        cum += w
+        if n > g and w < trunc.tol:
+            return weights, max(0.0, 1.0 - cum)
+    raise NonConvergenceError(
+        f"series at g={g} did not meet tol={trunc.tol} "
+        f"within {trunc.n_max_hard} terms"
+    )
+
+
+def _series_curve(
+    params: SystemParams, trunc: SeriesTruncation | None
+) -> Callable[[float], ThroughputResult]:
+    """Series throughput as a function of delta; the Poisson weights and
+    decode probabilities are computed once."""
+    weights, tail = _poisson_weights(params.g, trunc)
+    p = [p_decode_uplink(n, params.eps_u) for n in range(len(weights))]
+    k, down = params.k, 1.0 - params.eps_d
+
+    def at(delta: float) -> ThroughputResult:
+        total = 0.0
+        for w, p_n in zip(weights, p):
+            q = p_n * delta * down
+            total += w * k * q * (1.0 - q) ** (k - 1)
+        return ThroughputResult(total, "series", len(weights), tail)
+
+    return at
 
 
 def throughput_series(
@@ -135,29 +186,10 @@ def throughput_series(
     """End-to-end throughput as a truncated Poisson-weighted series.
 
     S = sum_n P[N=n] * k q_n (1-q_n)^(k-1), where q_n is the per-relay
-    probability of a successful downlink arrival.  Each summand is at
-    most the Poisson weight, so the reported error bound is the omitted
-    Poisson tail.
+    probability of a successful downlink arrival; the reported error
+    bound is the omitted Poisson tail.
     """
-    if trunc is None:
-        trunc = default_truncation(params.g)
-    total = 0.0
-    cum = 0.0
-    k = params.k
-    for n in range(trunc.n_max_hard + 1):
-        w = poisson_pmf(n, params.g)
-        q = q_success_downlink_arrival(n, params)
-        total += w * k * q * (1.0 - q) ** (k - 1)
-        cum += w
-        if n > params.g and w < trunc.tol:
-            return ThroughputResult(
-                total, "series", terms_used=n + 1,
-                est_abs_error=max(0.0, 1.0 - cum),
-            )
-    raise NonConvergenceError(
-        f"series at g={params.g} did not meet tol={trunc.tol} "
-        f"within {trunc.n_max_hard} terms"
-    )
+    return _series_curve(params, trunc)(params.delta)
 
 
 def bound_series(
@@ -168,35 +200,86 @@ def bound_series(
     S~ = sum_n P[N=n] * (1 - (1-p_n)^k), valid for every eps_u including
     the endpoints 0 and 1.
     """
-    if not (g >= 0.0):
-        raise ValueError(f"g must be non-negative, got {g}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not (0.0 <= eps_u <= 1.0):
-        raise ValueError(f"eps_u must be in [0, 1], got {eps_u}")
-    if trunc is None:
-        trunc = default_truncation(g)
+    k = _check_uplink(g, k, eps_u)
+    weights, tail = _poisson_weights(g, trunc)
     total = 0.0
-    cum = 0.0
-    for n in range(trunc.n_max_hard + 1):
-        w = poisson_pmf(n, g)
-        p = p_decode_uplink(n, eps_u)
-        total += w * (1.0 - (1.0 - p) ** k)
-        cum += w
-        if n > g and w < trunc.tol:
-            return ThroughputResult(
-                total, "series", terms_used=n + 1,
-                est_abs_error=max(0.0, 1.0 - cum),
-            )
-    raise NonConvergenceError(
-        f"series at g={g} did not meet tol={trunc.tol} "
-        f"within {trunc.n_max_hard} terms"
-    )
+    for n, w in enumerate(weights):
+        total += w * (1.0 - (1.0 - p_decode_uplink(n, eps_u)) ** k)
+    return ThroughputResult(total, "series", len(weights), tail)
 
 
-def throughput_closed(
-    params: SystemParams, cache: HCache | None = None
-) -> ThroughputResult:
+def _check_closed(k: int, eps_u: float, series: str) -> None:
+    if eps_u <= EPS_FLOOR:
+        why = f"singular for eps_u <= {EPS_FLOOR} (got {eps_u})"
+    elif k > K_CLOSED_MAX:
+        why = f"unstable for k > {K_CLOSED_MAX} (got {k})"
+    else:
+        return
+    raise ValueError(f"closed form is {why}; use {series}")
+
+
+def _kernel_terms(
+    g: float, eps_u: float, weights: tuple[float, ...]
+) -> list[float]:
+    """w_m g e^(x_m - g) T_m(x_m) / x_m, x_m = g eps_u^m, for m = 1..k.
+
+    e^-g H_m(x) = e^(x-g) T_m(x), T_m the Touchard polynomial; the
+    eps_u^-m of each closed-form term cancels against x_m, leaving these
+    times r^m (see the callers), and x_m <= g keeps every factor finite.
+    """
+    out = []
+    for m, c in enumerate(weights, 1):
+        p = eps_u**m
+        x = g * p
+        # p - 1 is exact for p >= 1/2: the exponent keeps one rounding
+        out.append(c * touchard_over_x(m, x) * g
+                   * math.exp(g * (p - 1.0) if p >= 0.5 else x - g))
+    return out
+
+
+def _closed_sum(
+    coeffs: list[float], mant: float, exp2: int, g: float, k: int
+) -> tuple[float, float]:
+    """sum_m coeffs[m-1] r^m, r = mant 2^exp2 <= 1, and its error estimate.
+
+    The terms alternate, so the rounding error scales with sum|t_m|:
+    (k + g + 8) 2^-53 sum|t_m| covers the powers, the Horner evaluations
+    and exp(x_m - g), whose argument's error grows with g.  Split off,
+    the exponent keeps the powers normal, so a term loses at most ~2^-1075
+    a step, only if subnormal; (k+1)^2 2^-1074 covers that unless r = 0.
+    """
+    terms = [
+        math.ldexp(c * mant**m, exp2 * m) for m, c in enumerate(coeffs, 1)
+    ]
+    size = sum(map(abs, terms))
+    if not math.isfinite(size):
+        raise ValueError(
+            f"closed form has a non-finite term at g={g}, k={k}; "
+            f"use the series"
+        )
+    err = (k + g + 8) * _UNIT_ROUNDOFF * size
+    if mant:
+        err += (k + 1) ** 2 * _SUBNORMAL_STEP
+    return math.fsum(terms), err
+
+
+def _closed_curve(params: SystemParams) -> Callable[[float], ThroughputResult]:
+    """Closed-form throughput as a function of delta; the k delta-free
+    coefficients are computed once."""
+    g, k, eps_u = params.g, params.k, params.eps_u
+    coeffs = _kernel_terms(g, eps_u, _THROUGHPUT_WEIGHTS[k])
+    # r = delta (1-eps_u) (1-eps_d); a subnormal delta loses no bits
+    mant_s, exp_s = math.frexp((1.0 - eps_u) * (1.0 - params.eps_d))
+
+    def at(delta: float) -> ThroughputResult:
+        mant_d, exp_d = math.frexp(delta)
+        value, err = _closed_sum(coeffs, mant_d * mant_s, exp_d + exp_s, g, k)
+        return ThroughputResult(value, "closed_form", k, err)
+
+    return at
+
+
+def throughput_closed(params: SystemParams) -> ThroughputResult:
     """End-to-end throughput in closed form.
 
     Binomial expansion of (1-q_n)^(k-1) inside the series turns each
@@ -206,36 +289,15 @@ def throughput_closed(
             [delta (1-eps_u) (1-eps_d) / eps_u]^(l+1)
             e^-g H_{l+1}(g eps_u^(l+1)).
 
-    Requires eps_u above EPS_FLOOR (the expansion divides by eps_u) and
-    k at most K_CLOSED_MAX (the sum alternates); use the series path
-    outside that region.
+    Requires eps_u above EPS_FLOOR and k at most K_CLOSED_MAX (the sum
+    alternates); use the series path outside that region.  A non-finite
+    term (only far past the load limit) is a ValueError.
     """
-    if params.eps_u <= EPS_FLOOR:
-        raise ValueError(
-            f"closed form is singular for eps_u <= {EPS_FLOOR} "
-            f"(got {params.eps_u}); use throughput_series"
-        )
-    if params.k > K_CLOSED_MAX:
-        raise ValueError(
-            f"closed form is unstable for k > {K_CLOSED_MAX} "
-            f"(got {params.k}); use throughput_series"
-        )
-    g, k, eps_u = params.g, params.k, params.eps_u
-    beta = params.delta * (1.0 - eps_u) * (1.0 - params.eps_d)
-    ratio = beta / eps_u
-    exp_g = math.exp(-g)
-    terms = []
-    for l in range(k):
-        h = ancillary_h(l + 1, g * eps_u ** (l + 1), cache)
-        terms.append(
-            (-1.0) ** l * k * math.comb(k - 1, l) * ratio ** (l + 1) * exp_g * h
-        )
-    return ThroughputResult(math.fsum(terms), "closed_form", terms_used=k)
+    _check_closed(params.k, params.eps_u, "throughput_series")
+    return _closed_curve(params)(params.delta)
 
 
-def bound_closed(
-    g: float, k: int, eps_u: float, cache: HCache | None = None
-) -> ThroughputResult:
+def bound_closed(g: float, k: int, eps_u: float) -> ThroughputResult:
     """Upper-bound throughput in closed form.
 
     S~ = 1 - sum_{l=0}^{k} (-1)^l C(k, l) ((1-eps_u)/eps_u)^l
@@ -243,64 +305,55 @@ def bound_closed(
 
     By construction this is the probability that at least one relay
     decodes in a slot; it does not depend on delta or eps_d, which is why
-    neither is a parameter.
+    neither is a parameter.  The l = 0 term is 1 and cancels exactly.
     """
-    if not (g >= 0.0):
-        raise ValueError(f"g must be non-negative, got {g}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not (0.0 <= eps_u <= 1.0):
-        raise ValueError(f"eps_u must be in [0, 1], got {eps_u}")
-    if eps_u <= EPS_FLOOR:
-        raise ValueError(
-            f"closed form is singular for eps_u <= {EPS_FLOOR} "
-            f"(got {eps_u}); use bound_series"
-        )
-    if k > K_CLOSED_MAX:
-        raise ValueError(
-            f"closed form is unstable for k > {K_CLOSED_MAX} "
-            f"(got {k}); use bound_series"
-        )
-    ratio = (1.0 - eps_u) / eps_u
-    exp_g = math.exp(-g)
-    terms = []
-    for l in range(k + 1):
-        h = ancillary_h(l, g * eps_u**l, cache)
-        terms.append((-1.0) ** l * math.comb(k, l) * ratio**l * exp_g * h)
-    return ThroughputResult(
-        1.0 - math.fsum(terms), "closed_form", terms_used=k + 1
-    )
+    k = _check_uplink(g, k, eps_u)
+    _check_closed(k, eps_u, "bound_series")
+    coeffs = _kernel_terms(g, eps_u, _BOUND_WEIGHTS[k])
+    s, err = _closed_sum(coeffs, *math.frexp(1.0 - eps_u), g, k)
+    return ThroughputResult(0.0 - s, "closed_form", k + 1, err)  # no -0.0
+
+
+def _closed_is_stable(g: float, k: int, eps_u: float) -> bool:
+    return eps_u > EPS_FLOOR and k <= K_CLOSED_MAX and g < _G_CLOSED_MAX
+
+
+def _delta_curve(
+    params: SystemParams, trunc: SeriesTruncation | None = None
+) -> Callable[[float], ThroughputResult]:
+    """Throughput as a function of delta (``params.delta`` is ignored).
+
+    Takes the path :func:`throughput` takes and does the delta-free work
+    once, so an optimizer's repeated evaluations are cheap and
+    ``throughput(params)`` is ``_delta_curve(params)(params.delta)``.
+    """
+    if _closed_is_stable(params.g, params.k, params.eps_u):
+        return _closed_curve(params)
+    return _series_curve(params, trunc)
 
 
 def throughput(
-    params: SystemParams,
-    cache: HCache | None = None,
-    trunc: SeriesTruncation | None = None,
+    params: SystemParams, trunc: SeriesTruncation | None = None
 ) -> ThroughputResult:
     """End-to-end throughput, dispatching to the best evaluation path.
 
     Closed form wherever it is stable, series otherwise; on the overlap
     region the two agree to well below 1e-9.
     """
-    if (
-        params.eps_u > EPS_FLOOR
-        and params.k <= K_CLOSED_MAX
-        and params.g < _G_CLOSED_MAX
-    ):
-        return throughput_closed(params, cache)
-    return throughput_series(params, trunc)
+    return _delta_curve(params, trunc)(params.delta)
 
 
 def bound(
-    g: float,
-    k: int,
-    eps_u: float,
-    cache: HCache | None = None,
-    trunc: SeriesTruncation | None = None,
+    g: float, k: int, eps_u: float, trunc: SeriesTruncation | None = None
 ) -> ThroughputResult:
-    """Upper-bound throughput, dispatching like :func:`throughput`."""
-    if eps_u > EPS_FLOOR and k <= K_CLOSED_MAX and g < _G_CLOSED_MAX:
-        return bound_closed(g, k, eps_u, cache)
+    """Upper-bound throughput, dispatching like :func:`throughput`.
+
+    Like every bound function, it takes a finite g >= 0, an integer
+    (not bool) k >= 1 and eps_u in [0, 1], else raises ValueError.
+    """
+    k = _check_uplink(g, k, eps_u)
+    if _closed_is_stable(g, k, eps_u):
+        return bound_closed(g, k, eps_u)
     return bound_series(g, k, eps_u, trunc)
 
 

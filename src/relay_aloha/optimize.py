@@ -16,9 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import HCache
+from .kernels import integer_arg
 from .model import (
     SystemParams,
+    _delta_curve,
     delta_star_k2,
     peak_load,
     throughput,
@@ -102,33 +103,33 @@ def optimize_delta(
     eps_u: float,
     eps_d: float,
     arg_tol: float = DEFAULT_ARG_TOL,
-    cache: HCache | None = None,
     use_k2_shortcut: bool = True,
 ) -> OptimizationResult:
     """Maximize throughput over the forwarding probability delta in [0, 1].
 
     For two relays at peak load the stationary point is known in closed
     form and is used directly (unless ``use_k2_shortcut`` is off, which
-    forces the generic search; the two agree within ``arg_tol``).
+    forces the generic search; the two agree within ``arg_tol``).  Every
+    value is ``throughput`` at the same delta, bit for bit.
     """
     if not (0.0 < arg_tol <= 0.1):
         raise ValueError(f"arg_tol must be in (0, 0.1], got {arg_tol}")
+    curve = _delta_curve(SystemParams(g, k, eps_u, eps_d, 0.0))
     if (
         use_k2_shortcut
         and k == 2
         and eps_d < 1.0
-        and 0.0 <= eps_u < 1.0
+        and eps_u < 1.0
         and math.isclose(g, peak_load(eps_u), rel_tol=1e-12)
     ):
         ds = delta_star_k2(eps_u, eps_d)
-        value = throughput(SystemParams(g, k, eps_u, eps_d, ds), cache).value
-        return OptimizationResult(ds, value, "closed_form_k2", 1, arg_tol)
-
-    def objective(d: float) -> float:
-        return throughput(SystemParams(g, k, eps_u, eps_d, d), cache).value
-
+        return OptimizationResult(
+            ds, curve(ds).value, "closed_form_k2", 1, arg_tol
+        )
     grid = [i / (DELTA_GRID_POINTS - 1) for i in range(DELTA_GRID_POINTS)]
-    d_star, v_star, evals = _grid_then_golden(objective, grid, arg_tol)
+    d_star, v_star, evals = _grid_then_golden(
+        lambda d: curve(d).value, grid, arg_tol
+    )
     return OptimizationResult(d_star, v_star, "grid_golden", evals, arg_tol)
 
 
@@ -139,7 +140,6 @@ def optimize_load(
     delta: float,
     g_max: float = DEFAULT_G_MAX,
     arg_tol: float = DEFAULT_ARG_TOL,
-    cache: HCache | None = None,
 ) -> OptimizationResult:
     """Maximize throughput over the channel load g in (0, g_max].
 
@@ -156,7 +156,7 @@ def optimize_load(
     grid = [float(x) for x in np.unique(np.concatenate([geo, lin]))]
 
     def objective(g: float) -> float:
-        return throughput(SystemParams(g, k, eps_u, eps_d, delta), cache).value
+        return throughput(SystemParams(g, k, eps_u, eps_d, delta)).value
 
     g_star, v_star, evals = _grid_then_golden(objective, grid, arg_tol)
     return OptimizationResult(g_star, v_star, "grid_golden", evals, arg_tol)
@@ -168,29 +168,24 @@ def optimize_k(
     k_max: int = DEFAULT_K_MAX,
     arg_tol: float = DEFAULT_ARG_TOL,
     g: float | None = None,
-    cache: HCache | None = None,
 ) -> OptimizationResult:
     """Find the relay count whose delta-optimized throughput is largest.
 
     ``g=None`` applies the peak-load rule g = 1/(1-eps_u); a float fixes
-    the load for every k.  Ties break toward fewer relays.
+    the load for every k.  Ties break toward fewer relays.  A
+    non-integer or bool ``k_max`` is a ValueError.
     """
+    k_max = integer_arg("k_max", k_max)
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     g_eff = peak_load(eps_u) if g is None else g
     if not (g_eff > 0.0):
         raise ValueError(f"load must be positive, got {g_eff}")
-    cache = cache if cache is not None else HCache()
-    per_k: list[float] = []
-    evals = 0
-    best_k = 1
-    best_v = -math.inf
-    for k in range(1, k_max + 1):
-        r = optimize_delta(g_eff, k, eps_u, eps_d, arg_tol, cache)
-        per_k.append(r.value_star)
-        evals += r.evaluations
-        if r.value_star > best_v:
-            best_k, best_v = k, r.value_star
+    runs = [optimize_delta(g_eff, k, eps_u, eps_d, arg_tol)
+            for k in range(1, k_max + 1)]
+    per_k = tuple(r.value_star for r in runs)
+    best = per_k.index(max(per_k))  # the first maximum: fewest relays
     return OptimizationResult(
-        best_k, best_v, "exhaustive_k", evals, arg_tol, per_k=tuple(per_k)
+        best + 1, per_k[best], "exhaustive_k",
+        sum(r.evaluations for r in runs), arg_tol, per_k=per_k,
     )

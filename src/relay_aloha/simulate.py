@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import default_truncation
+from .kernels import default_truncation, integer_arg
 from .model import SystemParams
 
 MODE_FULL = "full_system"
@@ -71,6 +71,8 @@ class SimConfig:
     ``warmup_slots`` must be at least 1 in the full-system mode so the
     first measured slot can receive forwards from its predecessor.  In
     bound mode only the uplink is played and delta/eps_d are ignored.
+    The four integer fields are stored as ``int``; a float or bool there
+    is a ValueError.
     """
 
     params: SystemParams
@@ -81,6 +83,10 @@ class SimConfig:
     mode: str = MODE_FULL
 
     def __post_init__(self) -> None:
+        for name in ("n_slots", "warmup_slots", "seed", "stream_id"):
+            object.__setattr__(
+                self, name, integer_arg(name, getattr(self, name))
+            )
         if self.n_slots < 1:
             raise ValueError(f"n_slots must be >= 1, got {self.n_slots}")
         if self.warmup_slots < 0:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from typing import IO, Iterable
 
 from . import __version__
-from .kernels import HCache, NonConvergenceError
+from .kernels import NonConvergenceError
 from .model import (
     SystemParams,
     bound,
@@ -113,7 +113,7 @@ def _params_at(spec: SweepSpec, value: float) -> SystemParams:
     return replace(spec.fixed, **{spec.axis: value})
 
 
-def run_sweep(spec: SweepSpec, cache: HCache | None = None) -> list[ResultRow]:
+def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     """Evaluate every requested output at every axis value.
 
     Rows are independent and the result is deterministic, including the
@@ -121,7 +121,6 @@ def run_sweep(spec: SweepSpec, cache: HCache | None = None) -> list[ResultRow]:
     failing output leaves its cells empty and records the reason in the
     row's ``error`` cell instead of aborting the sweep.
     """
-    cache = cache if cache is not None else HCache()
     sim = spec.sim if spec.sim is not None else SimOverrides()
     rows: list[ResultRow] = []
     for i, value in enumerate(spec.values):
@@ -138,14 +137,10 @@ def run_sweep(spec: SweepSpec, cache: HCache | None = None) -> list[ResultRow]:
             )
             for out in spec.outputs:
                 try:
-                    val, err = _evaluate(out, pt, cache, sim, stream_id=i)
+                    row[out], row[f"{out}_err"] = _evaluate(out, pt, sim, i)
                 except (ValueError, NonConvergenceError) as exc:
-                    row[out] = ""
-                    row[f"{out}_err"] = ""
+                    row[out] = row[f"{out}_err"] = ""
                     errors.append(f"{out}: {exc}")
-                else:
-                    row[out] = val
-                    row[f"{out}_err"] = err
             if "simulated" in spec.outputs:
                 row["seed"] = sim.seed
                 row["n_slots"] = sim.n_slots
@@ -155,42 +150,24 @@ def run_sweep(spec: SweepSpec, cache: HCache | None = None) -> list[ResultRow]:
 
 
 def _evaluate(
-    out: str,
-    pt: SystemParams,
-    cache: HCache,
-    sim: SimOverrides,
-    stream_id: int,
+    out: str, pt: SystemParams, sim: SimOverrides, stream_id: int
 ) -> tuple[float, float]:
-    if out == "analytic":
-        r = throughput(pt, cache)
-        return r.value, r.est_abs_error
-    if out == "closed":
-        r = throughput_closed(pt, cache)
-        return r.value, r.est_abs_error
-    if out == "series":
-        r = throughput_series(pt)
-        return r.value, r.est_abs_error
-    if out == "bound":
-        r = bound(pt.g, pt.k, pt.eps_u, cache)
+    if out in ("analytic", "closed", "series", "bound"):
+        r = (throughput(pt) if out == "analytic"
+             else throughput_closed(pt) if out == "closed"
+             else throughput_series(pt) if out == "series"
+             else bound(pt.g, pt.k, pt.eps_u))
         return r.value, r.est_abs_error
     if out == "simulated":
-        stats = simulate(
-            SimConfig(
-                params=pt,
-                n_slots=sim.n_slots,
-                warmup_slots=sim.warmup_slots,
-                seed=sim.seed,
-                stream_id=stream_id,
-                mode=MODE_FULL,
-            )
-        )
+        stats = simulate(SimConfig(
+            params=pt, n_slots=sim.n_slots, warmup_slots=sim.warmup_slots,
+            seed=sim.seed, stream_id=stream_id, mode=MODE_FULL,
+        ))
         return stats.throughput_estimate, stats.ci95_halfwidth
-    if out == "delta_star":
-        return float(optimize_delta(pt.g, pt.k, pt.eps_u, pt.eps_d,
-                                    cache=cache).arg_star), 0.0
-    if out == "s_star":
-        return optimize_delta(pt.g, pt.k, pt.eps_u, pt.eps_d,
-                              cache=cache).value_star, 0.0
+    if out in ("delta_star", "s_star"):
+        r = optimize_delta(pt.g, pt.k, pt.eps_u, pt.eps_d)
+        return (float(r.arg_star) if out == "delta_star"
+                else r.value_star), 0.0
     raise ValueError(f"unknown output {out!r}")
 
 
@@ -247,41 +224,32 @@ _FIG4_EPS_STEPS = 19  # eps = 0 .. 0.95 in steps of 0.05
 _FIG5_K_MAX = 32
 
 
-def figure_table(
-    fig_id: str, cache: HCache | None = None
-) -> tuple[list[str], list[str], list[ResultRow]]:
+def figure_table(fig_id: str) -> tuple[list[str], list[str], list[ResultRow]]:
     """(comments, columns, rows) for one frozen figure dataset."""
-    cache = cache if cache is not None else HCache()
     if fig_id == "fig2":
         rows = [
             {
                 "eps": eps,
                 "g": (g := i * 0.05),
-                "s": throughput(SystemParams(g, 2, eps, eps, 1.0), cache).value,
-                "s_bound": bound(g, 2, eps, cache).value,
+                "s": throughput(SystemParams(g, 2, eps, eps, 1.0)).value,
+                "s_bound": bound(g, 2, eps).value,
             }
             for eps in _FIG_EPS_SET
             for i in range(_FIG2_G_STEPS + 1)
         ]
-        columns = ["eps", "g", "s", "s_bound"]
         what = "throughput and upper bound vs load; k=2 delta=1 eps_u=eps_d"
     elif fig_id == "fig3":
-        rows = []
-        for j in range(_FIG3_EPS_STEPS + 1):
-            eps = j * 0.01
-            g = peak_load(eps)
-            rows.append(
-                {
-                    "eps": eps,
-                    "g": g,
-                    "delta_star": delta_star_k2(eps, eps),
-                    "s_star": s_star_k2(eps, eps),
-                    "s_bound": bound(g, 2, eps, cache).value,
-                    "s_single_relay": (1.0 - eps) * math.exp(-1.0),
-                }
-            )
-        columns = ["eps", "g", "delta_star", "s_star", "s_bound",
-                   "s_single_relay"]
+        rows = [
+            {
+                "eps": (eps := j * 0.01),
+                "g": (g := peak_load(eps)),
+                "delta_star": delta_star_k2(eps, eps),
+                "s_star": s_star_k2(eps, eps),
+                "s_bound": bound(g, 2, eps).value,
+                "s_single_relay": (1.0 - eps) * math.exp(-1.0),
+            }
+            for j in range(_FIG3_EPS_STEPS + 1)
+        ]
         what = ("optimal k=2 operation vs symmetric erasure rate at "
                 "peak load g=1/(1-eps)")
     elif fig_id == "fig4":
@@ -295,24 +263,17 @@ def figure_table(
             for iu in range(_FIG4_EPS_STEPS + 1)
             for id_ in range(_FIG4_EPS_STEPS + 1)
         ]
-        columns = ["eps_u", "eps_d", "delta_star", "s_star"]
         what = "optimal k=2 throughput over (eps_u, eps_d); g=1/(1-eps_u)"
     elif fig_id == "fig5":
         rows = []
         for eps in _FIG_EPS_SET:
             g = peak_load(eps)
             for k in range(1, _FIG5_K_MAX + 1):
-                r = optimize_delta(g, k, eps, eps, cache=cache)
-                rows.append(
-                    {
-                        "eps": eps,
-                        "k": k,
-                        "delta_star": float(r.arg_star),
-                        "s_star": r.value_star,
-                        "s_bound": bound(g, k, eps, cache).value,
-                    }
-                )
-        columns = ["eps", "k", "delta_star", "s_star", "s_bound"]
+                r = optimize_delta(g, k, eps, eps)
+                rows.append({"eps": eps, "k": k,
+                             "delta_star": float(r.arg_star),
+                             "s_star": r.value_star,
+                             "s_bound": bound(g, k, eps).value})
         what = ("delta-optimized throughput and upper bound vs relay "
                 "count at peak load; eps_u=eps_d")
     else:
@@ -320,7 +281,7 @@ def figure_table(
             f"unknown figure id {fig_id!r}; choices: {FIGURE_IDS}"
         )
     comments = [f"relay-aloha {__version__}", f"figure: {fig_id}, {what}"]
-    return comments, columns, rows
+    return comments, list(rows[0]), rows  # each row's keys, in order
 
 
 def reproduce_figure(fig_id: str, out_path: str | None = None) -> None:

@@ -1,9 +1,6 @@
 import itertools
 
-import pytest
 from hypothesis import HealthCheck, settings
-
-from relay_aloha import HCache
 
 settings.register_profile(
     "suite",
@@ -30,8 +27,3 @@ def full_grid():
 
 def bound_grid():
     return list(itertools.product(GRID_G, GRID_K, GRID_EPS_U))
-
-
-@pytest.fixture
-def cache():
-    return HCache()

@@ -12,7 +12,6 @@ import time
 from conftest import GRID_EPS_U, bound_grid, full_grid
 
 from relay_aloha import (
-    HCache,
     SimConfig,
     SystemParams,
     ancillary_h,
@@ -165,18 +164,17 @@ def test_c06_optimal_relay_count():
 
 
 def test_c07_closed_form_equals_series_on_the_grid():
-    cache = HCache()
     worst = 0.0
     for (g, k, eu, ed, d) in full_grid():
         p = SystemParams(g, k, eu, ed, d)
         diff = abs(
-            throughput_closed(p, cache).value - throughput_series(p).value
+            throughput_closed(p).value - throughput_series(p).value
         )
         worst = max(worst, diff)
     worst_bound = 0.0
     for (g, k, eu) in bound_grid():
         diff = abs(
-            bound_closed(g, k, eu, cache).value - bound_series(g, k, eu).value
+            bound_closed(g, k, eu).value - bound_series(g, k, eu).value
         )
         worst_bound = max(worst_bound, diff)
     ok = worst < 1e-9 and worst_bound < 1e-10
@@ -189,16 +187,15 @@ def test_c07_closed_form_equals_series_on_the_grid():
 
 
 def test_c08_h_kernel_recursion_vs_direct_series():
-    cache = HCache()
     worst = 0.0
     for m in range(13):
         for x in (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
-            rec = ancillary_h(m, x, cache)
+            rec = ancillary_h(m, x)
             ora = ancillary_h_oracle(m, x)
             worst = max(worst, abs(rec - ora) / max(1.0, abs(ora)))
     identities = all(
-        abs(ancillary_h(1, x, cache) - x * math.exp(x)) <= 1e-12 * math.exp(x)
-        and abs(ancillary_h(2, x, cache) - (x + x * x) * math.exp(x))
+        abs(ancillary_h(1, x) - x * math.exp(x)) <= 1e-12 * math.exp(x)
+        and abs(ancillary_h(2, x) - (x + x * x) * math.exp(x))
         <= 1e-12 * (x + x * x + 1) * math.exp(x)
         for x in (0.3, 1.0, 2.7, 6.5, 10.0)
     )
@@ -208,7 +205,6 @@ def test_c08_h_kernel_recursion_vs_direct_series():
 
 
 def test_c09_simulator_against_analytic_model_on_the_grid():
-    cache = HCache()
     t0 = time.perf_counter()
     grid = full_grid()
     failures = []
@@ -229,7 +225,7 @@ def test_c09_simulator_against_analytic_model_on_the_grid():
         st = run(
             SimConfig(params=p, n_slots=1_000_000, seed=SEED, stream_id=i)
         )
-        target = throughput(p, cache).value
+        target = throughput(p).value
         gap = abs(st.throughput_estimate - target)
         if gap > 3 * st.ci95_halfwidth:
             failures.append((i, p, st.throughput_estimate, target))
@@ -260,13 +256,12 @@ def test_c09_simulator_against_analytic_model_on_the_grid():
 
 
 def test_c10_bound_dominance_and_range():
-    cache = HCache()
     ok = True
     worst_violation = 0.0
     for (g, k, eu, ed, d) in full_grid():
         p = SystemParams(g, k, eu, ed, d)
-        s = throughput(p, cache).value
-        sb = bound(g, k, eu, cache).value
+        s = throughput(p).value
+        sb = bound(g, k, eu).value
         ok = ok and (-1e-12 <= s <= 1.0 + 1e-12)
         ok = ok and (-1e-12 <= sb <= 1.0 + 1e-12)
         ok = ok and (s <= sb + 1e-12)
@@ -274,7 +269,7 @@ def test_c10_bound_dominance_and_range():
     for eu in GRID_EPS_U:
         g = peak_load(eu)
         s_best = s_star_k2(eu, eu)
-        sb = bound(g, 2, eu, cache).value
+        sb = bound(g, 2, eu).value
         ok = ok and s_best <= sb + 1e-12
     report(
         10, ok,

@@ -89,6 +89,21 @@ class TestBound:
         )
 
 
+    @pytest.mark.parametrize(
+        "flags", [["--g", "inf"], ["--g", "nan"], ["--k", "0"]]
+    )
+    def test_bad_point_is_a_domain_error(self, capsys, flags):
+        args = {"--g": "2", "--k": "2", "--eps-u": "0.3"}
+        args.update(zip(flags[::2], flags[1::2]))
+        code, out, err = run_cli(
+            capsys, "bound", *[x for kv in args.items() for x in kv]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("relay-aloha: error:")
+        assert "Traceback" not in err
+
+
 class TestOptimizers:
     def test_optimize_delta(self, capsys):
         code, out, _ = run_cli(

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -5,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from relay_aloha import (
-    HCache,
     NonConvergenceError,
     SeriesTruncation,
     ancillary_h,
@@ -14,10 +14,12 @@ from relay_aloha import (
     log_binomial,
     poisson_pmf,
 )
+from relay_aloha.kernels import H_MAX_ORDER, _TOUCHARD_OVER_X, _stirling_rows
 
 H_TEST_X = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
 
 
+@functools.cache
 def stirling2(m, j):
     """Stirling numbers of the second kind by the standard recurrence."""
     if m == j == 0:
@@ -52,19 +54,19 @@ class TestAncillaryH:
 
     @pytest.mark.parametrize("m", range(13))
     @pytest.mark.parametrize("x", H_TEST_X)
-    def test_recursion_matches_oracle(self, m, x, cache):
-        rec = ancillary_h(m, x, cache)
+    def test_recursion_matches_oracle(self, m, x):
+        rec = ancillary_h(m, x)
         ora = ancillary_h_oracle(m, x)
         assert abs(rec - ora) / max(1.0, abs(ora)) < 1e-10
 
     @pytest.mark.parametrize("m", [0, 1, 3, 6])
-    def test_strictly_increasing_in_x(self, m, cache):
+    def test_strictly_increasing_in_x(self, m):
         xs = [0.01 * 1.6**i for i in range(20)]
-        vals = [ancillary_h(m, x, cache) for x in xs]
+        vals = [ancillary_h(m, x) for x in xs]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("m", range(1, 7))
-    def test_touchard_coefficients_are_stirling_numbers(self, m, cache):
+    def test_touchard_coefficients_are_stirling_numbers(self, m):
         # H_m(x) / e^x is a degree-m polynomial with no constant term;
         # recover its coefficients from m samples and compare with the
         # independently computed Stirling numbers of the second kind.
@@ -72,7 +74,7 @@ class TestAncillaryH:
 
         xs = np.arange(1.0, m + 1.0)
         rhs = np.array(
-            [ancillary_h(m, x, cache) / math.exp(x) for x in xs]
+            [ancillary_h(m, x) / math.exp(x) for x in xs]
         )
         vand = np.column_stack([xs**j for j in range(1, m + 1)])
         coeffs = np.linalg.solve(vand, rhs)
@@ -80,46 +82,48 @@ class TestAncillaryH:
             assert abs(c - round(c)) < 1e-6
             assert round(c) == stirling2(m, j)
 
-    def test_domain_errors(self, cache):
+    def test_domain_errors(self):
         with pytest.raises(ValueError):
-            ancillary_h(0, -0.5, cache)
+            ancillary_h(0, -0.5)
         with pytest.raises(ValueError):
-            ancillary_h(0, math.nan, cache)
+            ancillary_h(0, math.nan)
         with pytest.raises(ValueError):
-            ancillary_h(0, math.inf, cache)
+            ancillary_h(0, math.inf)
         with pytest.raises(ValueError):
-            ancillary_h(-1, 1.0, cache)
+            ancillary_h(-1, 1.0)
 
-    def test_order_exceeds_cache(self):
-        small = HCache(max_order=3)
-        with pytest.raises(ValueError, match="max_order"):
-            ancillary_h(4, 1.0, small)
+    def test_overflow_and_bad_orders_are_domain_errors(self):
+        assert math.isfinite(ancillary_h(0, 709.0))
+        for m, x in [(0, 710.0), (3, 700.0), (2.5, 1.0), (True, 1.0)]:
+            with pytest.raises(ValueError):
+                ancillary_h(m, x)
 
-    def test_cache_lookups_are_stable(self):
-        cache = HCache()
-        first = ancillary_h(5, 2.5, cache)
-        snapshot = dict(cache.values)
-        again = ancillary_h(5, 2.5, cache)
-        assert again == first
-        assert cache.values == snapshot
-        for (m, x), v in snapshot.items():
-            if m == 0:
-                assert v == pytest.approx(math.exp(x), rel=1e-15)
+    def test_order_above_the_table_raises(self):
+        assert ancillary_h(H_MAX_ORDER, 1.0) == pytest.approx(
+            ancillary_h_oracle(H_MAX_ORDER, 1.0), rel=1e-12
+        )
+        with pytest.raises(ValueError, match="order m"):
+            ancillary_h(H_MAX_ORDER + 1, 1.0)
 
-    def test_shared_cache_is_safe_under_concurrent_use(self):
+    def test_stirling_rows_match_the_integer_recurrence(self):
+        rows = _stirling_rows(H_MAX_ORDER)
+        assert len(rows) == H_MAX_ORDER + 1
+        for m, row in enumerate(rows):
+            assert row == [stirling2(m, j) for j in range(m + 1)]
+        # the float table is row m without S(m, 0), highest power first
+        for m in range(1, H_MAX_ORDER + 1):
+            assert _TOUCHARD_OVER_X[m] == tuple(
+                float(stirling2(m, j)) for j in range(m, 0, -1)
+            )
+
+    def test_repeated_and_concurrent_calls_are_identical(self):
         from concurrent.futures import ThreadPoolExecutor
 
-        cache = HCache()
         xs = [0.1, 0.5, 1.0, 2.0, 3.3] * 40
-
-        def worker(x):
-            return ancillary_h(10, x, cache)
-
+        first = [ancillary_h(10, x) for x in xs]
+        assert [ancillary_h(10, x) for x in xs] == first
         with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(worker, xs))
-        # idempotent inserts: every thread sees the same values
-        for x, v in zip(xs, results):
-            assert v == ancillary_h(10, x, cache)
+            assert list(pool.map(lambda x: ancillary_h(10, x), xs)) == first
 
 
 class TestAncillaryHOracle:

@@ -1,6 +1,6 @@
 import itertools
 import math
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -72,6 +72,34 @@ class TestSystemParams:
     def test_relay_count_below_one_rejected(self, k):
         with pytest.raises(ValueError, match="k must be >= 1"):
             SystemParams(1.0, k, 0.3, 0.3, 1.0)
+
+
+class TestDomainErrors:
+    @pytest.mark.parametrize(
+        "g,k,eu",
+        [(2.0, 2.5, 0.3), (2.0, True, 0.3), (2.0, 25.0, 0.3), (2.0, "2", 0.3),
+         (math.inf, 2, 0.3), (math.nan, 2, 0.3), (-1.0, 2, 0.3),
+         (2.0, 0, 0.3), (2.0, 2, 1.5)],
+    )
+    def test_bad_bound_arguments(self, g, k, eu):
+        for fn in (bound, bound_closed, bound_series):
+            with pytest.raises(ValueError):
+                fn(g, k, eu)
+
+    def test_integer_like_bound_relay_count(self):
+        assert bound(2.0, np.int64(3), 0.3) == bound(2.0, 3, 0.3)
+
+    @pytest.mark.parametrize("g", [math.inf, math.nan, -0.5])
+    def test_single_link_needs_a_finite_load(self, g):
+        with pytest.raises(ValueError, match="g must be finite"):
+            throughput_sa(g, 0.3)
+
+    def test_explicit_closed_form_far_past_the_load_limit(self):
+        # a term overflows: a documented ValueError, not an fsum error
+        with pytest.raises(ValueError, match="non-finite term"):
+            throughput_closed(SystemParams(1e300, 20, 0.999, 0.0, 1.0))
+        with pytest.raises(ValueError, match="non-finite term"):
+            bound_closed(1e300, 20, 0.999)
 
 
 class TestUplinkDecoding:
@@ -364,22 +392,52 @@ def _h_decimal(m, x):
 
 def closed_form_decimal(g, k, eu, ed, d, prec=80):
     """High-precision evaluation of the closed form, same formula but in
-    80-digit decimal arithmetic, to expose float cancellation."""
-    getcontext().prec = prec
-    G, EU, ED, D = Decimal(g), Decimal(eu), Decimal(ed), Decimal(d)
-    beta = D * (1 - EU) * (1 - ED)
-    exp_g = (-G).exp()
-    total = Decimal(0)
-    for l in range(k):
-        total += (
-            (Decimal(-1) ** l)
-            * k
-            * math.comb(k - 1, l)
-            * (beta / EU) ** (l + 1)
-            * exp_g
-            * _h_decimal(l + 1, G * EU ** (l + 1))
-        )
-    return float(total)
+    ``prec``-digit decimal arithmetic, to expose float cancellation."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        G, EU, ED, D = Decimal(g), Decimal(eu), Decimal(ed), Decimal(d)
+        beta = D * (1 - EU) * (1 - ED)
+        exp_g = (-G).exp()
+        total = Decimal(0)
+        for l in range(k):
+            total += (
+                (Decimal(-1) ** l)
+                * k
+                * math.comb(k - 1, l)
+                * (beta / EU) ** (l + 1)
+                * exp_g
+                * _h_decimal(l + 1, G * EU ** (l + 1))
+            )
+        return +total
+
+
+def bound_closed_decimal(g, k, eu, prec=80):
+    """The bound's closed form, 1 - sum_l (-1)^l C(k, l) r^l e^-g H_l,
+    in ``prec``-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        G, EU = Decimal(g), Decimal(eu)
+        ratio = (1 - EU) / EU
+        exp_g = (-G).exp()
+        total = Decimal(0)
+        for l in range(k + 1):
+            total += (
+                (Decimal(-1) ** l)
+                * math.comb(k, l)
+                * (ratio**l if l else 1)  # Decimal leaves 0**0 undefined
+                * exp_g
+                * _h_decimal(l, G * EU**l)
+            )
+        return 1 - total
+
+
+def assert_within_estimate(result, ref, prec=80):
+    """|value - ref| <= est_abs_error, compared exactly, give or take
+    the reference's own rounding at ``prec`` digits."""
+    slack = Decimal(10) ** (20 - prec)
+    assert abs(Decimal(result.value) - ref) <= (
+        Decimal(result.est_abs_error) + slack
+    )
 
 
 class TestClosedFormCapCertification:
@@ -398,5 +456,73 @@ class TestClosedFormCapCertification:
     def test_cap_error_within_budget(self, g, eu, ed, d):
         p = SystemParams(g, K_CLOSED_MAX, eu, ed, d)
         ref = closed_form_decimal(g, K_CLOSED_MAX, eu, ed, d)
-        assert abs(throughput_closed(p).value - ref) < 1e-9
-        assert abs(throughput_series(p).value - ref) < 1e-13
+        assert abs(throughput_closed(p).value - float(ref)) < 1e-9
+        assert abs(throughput_series(p).value - float(ref)) < 1e-13
+        # and each closed form's own error estimate covers its error
+        assert_within_estimate(throughput_closed(p), ref)
+        assert_within_estimate(
+            bound_closed(g, K_CLOSED_MAX, eu),
+            bound_closed_decimal(g, K_CLOSED_MAX, eu),
+        )
+
+
+# Points where the closed forms are hardest: g = 650 with eps_u = 0.999
+# (H_m(x_m) alone is past the float range there) and k = 16..20 with
+# small eps_u (a cancellation of up to 1e9 in the alternating sums).
+HARD_THROUGHPUT = (
+    [(650.0, k, 0.999, 0.0, 1.0) for k in (12, 16, 20)]
+    + [(0.5, 20, 1e-3, 0.0, 1.0), (1.0, 18, 1e-3, 0.0, 1.0),
+       (2.0, 20, 1e-4, 0.0, 1.0), (0.5, 20, 1e-5, 0.0, 1.0)]
+)
+HARD_BOUND = ([(650.0, k, 0.999) for k in (12, 16, 20)]
+              + [(0.5, 20, 1e-3), (2.0, 20, 1e-4)])
+
+
+class TestClosedFormErrorEstimate:
+    """est_abs_error of a closed form covers its distance from a
+    high-precision evaluation of the same formula."""
+
+    @pytest.mark.parametrize("p", HARD_THROUGHPUT)
+    def test_throughput_at_hard_points(self, p):
+        r = throughput(SystemParams(*p))
+        assert r.method == "closed_form"
+        assert 0.0 < r.est_abs_error < 1e-7
+        assert_within_estimate(r, closed_form_decimal(*p))
+
+    @pytest.mark.parametrize("p", HARD_BOUND)
+    def test_bound_at_hard_points(self, p):
+        r = bound(*p)
+        assert r.method == "closed_form"
+        assert 0.0 < r.est_abs_error < 1e-7
+        assert_within_estimate(r, bound_closed_decimal(*p))
+
+    def test_bound_reference_matches_series(self):
+        for g, k, eu in [(1.2, 4, 0.4), (4.0, 8, 0.9)]:
+            assert float(bound_closed_decimal(g, k, eu)) == pytest.approx(
+                bound_series(g, k, eu).value, abs=1e-13
+            )
+
+    def test_exact_zero_has_no_error(self):
+        r = throughput(SystemParams(1.3, 5, 0.3, 0.2, 0.0))
+        assert (r.value, r.est_abs_error) == (0.0, 0.0)
+        assert bound(0.0, 3, 0.5).value == 0.0
+        assert math.copysign(1.0, bound(0.0, 3, 0.5).value) == 1.0
+
+    @given(
+        g=st.floats(min_value=0.0, max_value=700.0, exclude_max=True),
+        k=st.integers(min_value=1, max_value=K_CLOSED_MAX),
+        eu=st.floats(min_value=1e-5, max_value=1.0),
+        ed=eps_floats,
+        d=eps_floats,
+    )
+    def test_estimate_covers_the_error(self, g, k, eu, ed, d):
+        # 400 digits: the decimal bound takes 1 minus a sum as close to 1
+        # as 1 - e^-700
+        r = throughput(SystemParams(g, k, eu, ed, d))
+        assert r.method == "closed_form"
+        assert_within_estimate(
+            r, closed_form_decimal(g, k, eu, ed, d, 400), 400
+        )
+        rb = bound(g, k, eu)
+        assert rb.method == "closed_form"
+        assert_within_estimate(rb, bound_closed_decimal(g, k, eu, 400), 400)

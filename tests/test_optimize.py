@@ -3,7 +3,6 @@ import math
 import pytest
 
 from relay_aloha import (
-    HCache,
     SystemParams,
     delta_star_k2,
     optimize_delta,
@@ -36,12 +35,11 @@ class TestOptimizeDelta:
     def test_numeric_agrees_with_closed_form_grid(self):
         # the spot checks the generic search against the closed-form
         # optimum across the (eps_u, eps_d) lattice
-        cache = HCache()
         for iu in range(10):
             for id_ in range(10):
                 eu, ed = iu / 10, id_ / 10
                 r = optimize_delta(
-                    peak_load(eu), 2, eu, ed, cache=cache,
+                    peak_load(eu), 2, eu, ed,
                     use_k2_shortcut=False,
                 )
                 assert abs(r.arg_star - delta_star_k2(eu, ed)) <= r.arg_tol
@@ -72,6 +70,21 @@ class TestOptimizeDelta:
             r = optimize_delta(g, k, eu, ed)
             at_arg = throughput(SystemParams(g, k, eu, ed, r.arg_star)).value
             assert abs(r.value_star - at_arg) < 1e-12
+
+    @pytest.mark.parametrize(
+        "g,k,eu,ed",
+        [(2.0, 8, 0.3, 0.3), (1.0, 3, 0.3, 0.1), (1.4, 25, 0.3, 0.3),
+         (1.0, 2, 0.0, 0.0), (peak_load(0.3), 2, 0.3, 0.3)],
+    )
+    def test_value_is_throughput_at_argument_bit_for_bit(self, g, k, eu, ed):
+        # closed form, series (k > K_CLOSED_MAX, eps_u = 0) and shortcut
+        r = optimize_delta(g, k, eu, ed)
+        at_arg = throughput(SystemParams(g, k, eu, ed, r.arg_star)).value
+        assert r.value_star == at_arg
+
+    def test_evaluation_count(self):
+        # 101 grid points plus the golden section down to arg_tol
+        assert optimize_delta(2.0, 8, 0.3, 0.3).evaluations == 125
 
     def test_deterministic(self):
         a = optimize_delta(1.9, 4, 0.35, 0.25)
@@ -124,6 +137,11 @@ class TestOptimizeK:
         r = optimize_k(0.5, 0.5, k_max=8)
         assert r.value_star == max(r.per_k)
         assert r.per_k[r.arg_star - 1] == r.value_star
+
+    @pytest.mark.parametrize("k_max", [2.5, 3.0, True, "3"])
+    def test_non_integer_k_max_is_a_domain_error(self, k_max):
+        with pytest.raises(ValueError, match="k_max must be an integer"):
+            optimize_k(0.3, 0.3, k_max=k_max)
 
     def test_ties_break_toward_fewer_relays(self):
         # with a fully erased downlink every (k, delta) gives zero

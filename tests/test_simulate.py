@@ -151,6 +151,28 @@ class TestSimulateBasics:
         with pytest.raises(ValueError):
             SimConfig(params=p, n_slots=10, seed=-1)
 
+    @pytest.mark.parametrize(
+        "field", ["n_slots", "warmup_slots", "seed", "stream_id"]
+    )
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, np.True_, "3", None])
+    def test_integer_fields_reject_non_integers(self, field, value):
+        p = SystemParams(1.0, 1, 0.0, 0.0, 1.0)
+        args = {"n_slots": 10, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimConfig(params=p, **args)
+
+    def test_integer_fields_become_int(self):
+        p = SystemParams(1.0, 2, 0.3, 0.3, 1.0)
+        cfg = SimConfig(params=p, n_slots=np.int64(500),
+                        warmup_slots=np.int32(7), seed=np.uint64(3),
+                        stream_id=np.int16(2))
+        assert [type(getattr(cfg, f)) for f in
+                ("n_slots", "warmup_slots", "seed", "stream_id")] == [int] * 4
+        st = simulate(cfg)
+        assert st == simulate(SimConfig(params=p, n_slots=500,
+                                        warmup_slots=7, seed=3, stream_id=2))
+        assert type(st.measured_slots) is int and st.measured_slots == 500
+
 
 class TestTrace:
     def _trace(self, **kw):
