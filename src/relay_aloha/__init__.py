@@ -11,13 +11,10 @@ against a slot-level Monte Carlo simulator.
 __version__ = "0.1.0"
 
 from .kernels import (
+    G_MAX,
     NonConvergenceError,
-    SeriesTruncation,
     ancillary_h,
     ancillary_h_oracle,
-    default_truncation,
-    log_binomial,
-    poisson_pmf,
 )
 from .model import (
     EPS_FLOOR,
@@ -30,7 +27,6 @@ from .model import (
     delta_star_k2,
     p_decode_uplink,
     peak_load,
-    q_success_downlink_arrival,
     s_star_k2,
     throughput,
     throughput_closed,
@@ -69,6 +65,7 @@ from .sweep import (
 __all__ = [
     "EPS_FLOOR",
     "FIGURE_IDS",
+    "G_MAX",
     "K_CLOSED_MAX",
     "MODE_BOUND",
     "MODE_FULL",
@@ -76,7 +73,6 @@ __all__ = [
     "OptimizationResult",
     "RNG_ALGORITHM",
     "RNG_LAYOUT",
-    "SeriesTruncation",
     "SimConfig",
     "SimOverrides",
     "SimStats",
@@ -90,17 +86,13 @@ __all__ = [
     "bound_closed",
     "bound_series",
     "columns_for",
-    "default_truncation",
     "delta_star_k2",
     "figure_table",
-    "log_binomial",
     "optimize_delta",
     "optimize_k",
     "optimize_load",
     "p_decode_uplink",
     "peak_load",
-    "poisson_pmf",
-    "q_success_downlink_arrival",
     "reproduce_figure",
     "rng_substream",
     "run_sweep",

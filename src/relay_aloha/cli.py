@@ -12,7 +12,6 @@ import os
 import sys
 
 from . import __version__
-from .kernels import NonConvergenceError
 from .model import (
     SystemParams,
     bound,
@@ -279,7 +278,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         _COMMANDS[args.command](args)
-    except (ValueError, NonConvergenceError) as exc:
+    except ValueError as exc:
         print(f"relay-aloha: error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -1,57 +1,28 @@
 """Scalar numeric kernels shared by the analytic throughput model.
 
-Everything in :mod:`relay_aloha.model` is assembled from three ingredients:
+Everything in :mod:`relay_aloha.model` is assembled from two ingredients:
 the weighted exponential sums H_m(x) = sum_{n>=0} x^n n^m / n! (through
-Touchard polynomials), Poisson probabilities, and binomial coefficients,
-with a brute-force series evaluator of H_m as an independent cross-check.
+Touchard polynomials), with a brute-force series evaluator of H_m as an
+independent cross-check, and one table of Poisson probabilities, which
+the simulator's occupancy draw uses too.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 DEFAULT_TOL = 1e-14
 
-# Binomial coefficients up to this n are converted from exact integers, so
-# small alternating sums carry no rounding noise from the coefficients.
-_EXACT_COMB_MAX_N = 1000
+# The largest load accepted: a Poisson table at G_MAX holds about 5e5
+# entries (its width grows like sqrt(g)).
+G_MAX = 1e9
+
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 class NonConvergenceError(RuntimeError):
     """A truncated series hit its hard cap before meeting the tolerance."""
-
-
-@dataclass(frozen=True)
-class SeriesTruncation:
-    """Truncation policy for the infinite sums over the slot occupancy n.
-
-    ``tol`` is an absolute bound on the first omitted term, ``n_max_hard``
-    the largest summation index ever attempted.
-    """
-
-    tol: float = DEFAULT_TOL
-    n_max_hard: int = 200
-
-    def __post_init__(self) -> None:
-        if not (self.tol > 0.0):
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.n_max_hard < 1:
-            raise ValueError(f"n_max_hard must be >= 1, got {self.n_max_hard}")
-
-
-def default_truncation(g: float, tol: float = DEFAULT_TOL) -> SeriesTruncation:
-    """Truncation for Poisson-weighted sums at mean occupancy ``g``.
-
-    The cap leaves a dozen standard deviations of headroom past the mean,
-    so the omitted tail is far below ``tol`` whenever the cap is reached
-    through the normal stopping rule.
-    """
-    if g < 0.0:
-        raise ValueError(f"g must be non-negative, got {g}")
-    hard = max(200, math.ceil(g + 12.0 * math.sqrt(g) + 50.0))
-    return SeriesTruncation(tol=tol, n_max_hard=hard)
 
 
 def _stirling_rows(m_max: int) -> list[list[int]]:
@@ -122,62 +93,86 @@ def ancillary_h(m: int, x: float) -> float:
     return h
 
 
-def ancillary_h_oracle(
-    m: int, x: float, trunc: SeriesTruncation | None = None
-) -> float:
+def ancillary_h_oracle(m: int, x: float) -> float:
     """Direct partial sum of x^n n^m / n!, the slow reference for H_m.
 
     Terms are accumulated until the sequence is past its maximum and the
-    first omitted term is below ``trunc.tol``.  Independent of the
+    first omitted term is below DEFAULT_TOL, for at most
+    max(200, x + m + 12 sqrt(x + m) + 50) terms.  Independent of the
     Touchard form in :func:`ancillary_h` by construction.
     """
     if m < 0:
         raise ValueError(f"order m must be non-negative, got {m}")
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"x must be finite and non-negative, got {x}")
-    if trunc is None:
-        trunc = default_truncation(x + m)
+    n_max = max(200, math.ceil(x + m + 12.0 * math.sqrt(x + m) + 50.0))
     total = 0.0
     weight = 1.0  # x^n / n!
     prev = math.inf
     n = 0
-    while n <= trunc.n_max_hard:
+    while n <= n_max:
         term = weight * float(n) ** m if n > 0 else (1.0 if m == 0 else 0.0)
         total += term
-        if n >= 1 and term < trunc.tol and term <= prev and n > x:
+        if n >= 1 and term < DEFAULT_TOL and term <= prev and n > x:
             return total
         prev = term
         n += 1
         weight *= x / n
     raise NonConvergenceError(
-        f"H_{m}({x}) series did not meet tol={trunc.tol} "
-        f"within {trunc.n_max_hard} terms"
+        f"H_{m}({x}) series did not meet tol={DEFAULT_TOL} "
+        f"within {n_max} terms"
     )
 
 
-def poisson_pmf(n: int, g: float) -> float:
-    """P[N = n] for N Poisson with mean g, i.e. g^n e^-g / n!.
+def poisson_table(g: float, tol: float) -> tuple[int, list[float], float]:
+    """P[N = n] for N Poisson with mean g, over the counts n = lo, lo+1, ...
 
-    Evaluated directly for small n and in the log domain otherwise, so
-    large counts neither overflow nor underflow prematurely.
+    The weights run by the ratio recurrence outward from the mode
+    m = floor(g) (Fox & Glynn, "Computing Poisson probabilities", CACM
+    31(4), 1988): up through the first n > g, and down through the first
+    n < m (or to 0), where both P[N = n] and the mass beyond n (bounded
+    by a geometric series from P[N = n]) are below ``tol``; their
+    ``fsum`` normalises them.
+
+    Returns ``(lo, weights, err)``.  ``err`` bounds the L1 distance
+    sum_n |weights[n - lo] - P[N = n]| over all n, so it bounds the
+    error of any table average of a function with values in [0, 1]: twice
+    the omitted mass (once left out, once spread over the table by the
+    normalisation) plus the rounding, 2 roundings per step from the
+    mode summed against the weights, at most (4 sqrt(g + 1) + 2) 2^-53.
+    A load outside [0, G_MAX] is a ValueError.
     """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if not (g >= 0.0):
-        raise ValueError(f"g must be non-negative, got {g}")
-    if g == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if n < 30 and g < 500.0:
-        return g**n * math.exp(-g) / math.factorial(n)
-    return math.exp(n * math.log(g) - g - math.lgamma(n + 1))
-
-
-def log_binomial(n: int, k: int) -> float:
-    """ln C(n, k).  Exact-integer path for every n this package uses."""
-    if n < 0 or k < 0:
-        raise ValueError(f"n and k must be non-negative, got n={n}, k={k}")
-    if k > n:
-        raise ValueError(f"k must not exceed n, got n={n}, k={k}")
-    if n <= _EXACT_COMB_MAX_N:
-        return math.log(math.comb(n, k))
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    if not 0.0 <= g <= G_MAX:
+        raise ValueError(f"g must be finite and in [0, {G_MAX:g}], got {g}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    m = int(g)
+    # P[N = m] only places the cut-offs, so its log-domain rounding is
+    # harmless: the weights below are relative to the mode's
+    log_pm = -g if m == 0 else m * math.log(g) - g - math.lgamma(m + 1)
+    cut = tol * math.exp(-log_pm)
+    # above n the ratios are at most g / (n + 1), below it at most n / g
+    up, x, hi = [], 1.0, m
+    while True:
+        hi += 1
+        x *= g / hi
+        up.append(x)
+        if x < cut and x * g < cut * (hi + 1 - g):
+            break
+    down, x, lo = [], 1.0, m
+    while lo > 0:
+        x *= lo / g
+        lo -= 1
+        down.append(x)
+        if x < cut and x * lo < cut * (g - lo):
+            break
+    down.reverse()
+    down.append(1.0)
+    down += up
+    total = math.fsum(down)
+    weights = [v / total for v in down]
+    omitted = weights[-1] * g / (hi + 1 - g)
+    if lo:
+        omitted += weights[0] * lo / (g - lo)
+    err = 2.0 * omitted + (4.0 * math.sqrt(g + 1.0) + 2.0) * _UNIT_ROUNDOFF
+    return lo, weights, err

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,6 +32,8 @@ LOAD_GRID_POINTS = 400
 DEFAULT_ARG_TOL = 1e-6
 DEFAULT_G_MAX = 8.0
 DEFAULT_K_MAX = 32
+_DELTA_GRID = tuple(i / (DELTA_GRID_POINTS - 1)
+                    for i in range(DELTA_GRID_POINTS))
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ def _golden_max(
 
 
 def _grid_then_golden(
-    f: Callable[[float], float], grid: list[float], xtol: float
+    f: Callable[[float], float], grid: Sequence[float], xtol: float
 ) -> tuple[float, float, int]:
     """Evaluate f on a grid, then refine around the best point.
 
@@ -103,21 +105,19 @@ def optimize_delta(
     eps_u: float,
     eps_d: float,
     arg_tol: float = DEFAULT_ARG_TOL,
-    use_k2_shortcut: bool = True,
 ) -> OptimizationResult:
     """Maximize throughput over the forwarding probability delta in [0, 1].
 
     For two relays at peak load the stationary point is known in closed
-    form and is used directly (unless ``use_k2_shortcut`` is off, which
-    forces the generic search; the two agree within ``arg_tol``).  Every
-    value is ``throughput`` at the same delta, bit for bit.
+    form and is used directly (the generic search agrees within
+    ``arg_tol``).  Every value is ``throughput`` at the same delta, bit
+    for bit.
     """
     if not (0.0 < arg_tol <= 0.1):
         raise ValueError(f"arg_tol must be in (0, 0.1], got {arg_tol}")
     curve = _delta_curve(SystemParams(g, k, eps_u, eps_d, 0.0))
     if (
-        use_k2_shortcut
-        and k == 2
+        k == 2
         and eps_d < 1.0
         and eps_u < 1.0
         and math.isclose(g, peak_load(eps_u), rel_tol=1e-12)
@@ -126,9 +126,8 @@ def optimize_delta(
         return OptimizationResult(
             ds, curve(ds).value, "closed_form_k2", 1, arg_tol
         )
-    grid = [i / (DELTA_GRID_POINTS - 1) for i in range(DELTA_GRID_POINTS)]
     d_star, v_star, evals = _grid_then_golden(
-        lambda d: curve(d).value, grid, arg_tol
+        lambda d: curve(d).value, _DELTA_GRID, arg_tol
     )
     return OptimizationResult(d_star, v_star, "grid_golden", evals, arg_tol)
 

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import default_truncation, integer_arg
-from .model import SystemParams
+from .kernels import integer_arg, poisson_table
+from .model import SystemParams, p_decode_uplink
 
 MODE_FULL = "full_system"
 MODE_BOUND = "bound_uplink_only"
@@ -48,9 +48,9 @@ RNG_ALGORITHM = "philox4x64"
 _CHUNK = 1 << 15
 
 # Draw order of the estimation route, per chunk of up to _CHUNK slots:
-# one float64 per slot for the occupancy, then for each relay in turn
-# one float32 per slot.
-RNG_LAYOUT = f"chunk{_CHUNK}:occupancy-f64,relays-f32xk"
+# one float64 per slot for the occupancy, mapped through the CDF of
+# kernels.poisson_table, then for each relay in turn one float32 per slot.
+RNG_LAYOUT = f"chunk{_CHUNK}:occupancy-f64-poisson-table,relays-f32xk"
 # Draw order of the trace route: Poisson occupancies for the whole run,
 # then binomial survivor counts relay by relay, then (full mode only)
 # one float64 per (relay, slot) for the forwarding coins.
@@ -59,8 +59,8 @@ _TRACE_LAYOUT = "whole-run:occupancy-poisson,relays-binomialxk,relays-f64xk"
 _MASK64 = (1 << 64) - 1
 _CI_BATCHES = 100
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-# The occupancy table stops where the Poisson upper tail drops below
-# the resolution of a float64 uniform.
+# The occupancy table stops on each side of the mode where the Poisson
+# probability drops below the resolution of a float64 uniform.
 _TAIL = 2.0**-53
 
 
@@ -166,30 +166,20 @@ def rng_substream(seed: int, stream_id: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _decode_prob_table(n_max: int, eps_u: float) -> np.ndarray:
-    """p_n = n (1-eps_u) eps_u^(n-1) for n = 0..n_max (0^0 = 1)."""
-    tab = np.zeros(n_max + 1)
-    if n_max >= 1:
-        ns = np.arange(1, n_max + 1, dtype=np.float64)
-        tab[1:] = ns * (1.0 - eps_u) * eps_u ** (ns - 1.0)
-    return tab
+def _occupancy(g: float, eps_u: float) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-CDF table of the Poisson(g) slot occupancy, and the decode
+    probability of each occupancy class.
 
-
-def _occupancy_cdf(g: float) -> np.ndarray:
-    """Inverse-CDF table of the Poisson(g) slot occupancy.
-
-    Returns P[N <= n] for n = 0..c-1, where c is the least count with
-    P[N > c] < 2^-53, so ``searchsorted(table, u, side="right")`` maps a
-    uniform u to a class in 0..c and class c absorbs the upper tail.
+    Class i is the count lo + i of ``poisson_table(g, 2^-53)``, so
+    ``searchsorted(cdf, u, side="right")`` maps a uniform u to a class;
+    the first class takes the omitted lower tail and the last the upper.
+    The CDF never decreases and ends at most at 1.
     """
-    if g == 0.0:
-        return np.empty(0)
-    ns = np.arange(default_truncation(g).n_max_hard + 1, dtype=np.float64)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(ns[1:]))))
-    pmf = np.exp(ns * math.log(g) - g - log_fact)
-    above = np.cumsum(pmf[::-1])[::-1][1:]  # above[n] = P[n < N <= cap]
-    c = int(np.argmax(above < _TAIL))
-    return np.cumsum(pmf[:c])
+    lo, weights, _ = poisson_table(g, _TAIL)
+    cdf = np.minimum(np.cumsum(weights[:-1]), 1.0)
+    p_dec = np.array([p_decode_uplink(n, eps_u)
+                      for n in range(lo, lo + len(weights))])
+    return cdf, p_dec
 
 
 class _BatchMeans:
@@ -268,8 +258,7 @@ def simulate(config: SimConfig) -> SimStats:
     full = config.mode == MODE_FULL
     rng = rng_substream(config.seed, config.stream_id)
 
-    cdf = _occupancy_cdf(p.g)
-    p_dec = _decode_prob_table(cdf.size, p.eps_u)
+    cdf, p_dec = _occupancy(p.g, p.eps_u)
     tables = [p_dec]
     if full:
         tables += [p_dec * p.delta, p_dec * (p.delta * (1.0 - p.eps_d))]

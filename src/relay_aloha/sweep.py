@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 from typing import IO, Iterable
 
 from . import __version__
-from .kernels import NonConvergenceError
 from .model import (
     SystemParams,
     bound,
@@ -138,7 +137,7 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
             for out in spec.outputs:
                 try:
                     row[out], row[f"{out}_err"] = _evaluate(out, pt, sim, i)
-                except (ValueError, NonConvergenceError) as exc:
+                except ValueError as exc:
                     row[out] = row[f"{out}_err"] = ""
                     errors.append(f"{out}: {exc}")
             if "simulated" in spec.outputs:

@@ -20,7 +20,6 @@ from relay_aloha import (
     bound_closed,
     bound_series,
     delta_star_k2,
-    optimize_delta,
     optimize_k,
     optimize_load,
     peak_load,
@@ -30,6 +29,8 @@ from relay_aloha import (
     throughput_closed,
     throughput_series,
 )
+from relay_aloha.model import _delta_curve
+from relay_aloha.optimize import _DELTA_GRID, _grid_then_golden
 
 SEED = 20260808
 
@@ -62,16 +63,18 @@ def test_c01_classical_slotted_aloha_recovery():
 def test_c02_clean_channel_two_relay_optimum():
     ds = delta_star_k2(0.0, 0.0)
     ss = s_star_k2(0.0, 0.0)
-    numeric = optimize_delta(1.0, 2, 0.0, 0.0, arg_tol=1e-6,
-                             use_k2_shortcut=False)
+    # the generic grid + golden search, without the k = 2 shortcut
+    curve = _delta_curve(SystemParams(1.0, 2, 0.0, 0.0, 0.0))
+    numeric, _, _ = _grid_then_golden(lambda d: curve(d).value, _DELTA_GRID,
+                                      1e-6)
     ok = (
         ds == 0.5
         and abs(ss - 1 / (2 * math.e)) < 1e-15
-        and abs(numeric.arg_star - 0.5) <= 1e-6
+        and abs(numeric - 0.5) <= 1e-6
     )
     report(
         2, ok,
-        f"delta*={ds} s*={ss:.9f} numeric delta*={numeric.arg_star:.8f}",
+        f"delta*={ds} s*={ss:.9f} numeric delta*={numeric:.8f}",
     )
 
 

@@ -11,6 +11,18 @@ def test_every_exported_name_imports():
     assert set(relay_aloha.__all__) <= set(namespace)
 
 
+REMOVED = ("SeriesTruncation", "default_truncation", "poisson_pmf",
+           "log_binomial", "q_success_downlink_arrival")
+
+
+def test_removed_names_are_gone():
+    for name in REMOVED:
+        assert name not in relay_aloha.__all__, name
+        assert not hasattr(relay_aloha, name), name
+        for module in ("kernels", "model"):
+            assert not hasattr(getattr(relay_aloha, module), name), name
+
+
 def test_no_public_callable_takes_a_cache():
     modules = [relay_aloha] + [
         getattr(relay_aloha, m)
@@ -26,5 +38,6 @@ def test_no_public_callable_takes_a_cache():
             except (TypeError, ValueError):  # builtins without a signature
                 continue
             seen += 1
-            assert "cache" not in params, f"{module.__name__}.{name}"
+            for knob in ("cache", "trunc", "use_k2_shortcut"):
+                assert knob not in params, f"{module.__name__}.{name}"
     assert seen > 40

@@ -49,6 +49,18 @@ class TestEval:
         assert code == 1
         assert "eps_u" in err
 
+    @pytest.mark.parametrize("g", ["1e300", "1000000000.0000001"])
+    @pytest.mark.parametrize("method", ["auto", "series"])
+    def test_load_above_the_table_limit(self, capsys, g, method):
+        code, out, err = run_cli(
+            capsys, "eval", "--g", g, "--k", "25", "--eps-u", "0.3",
+            "--eps-d", "0.3", "--delta", "0.5", "--method", method,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("relay-aloha: error: g must be finite")
+
     def test_closed_method_at_singular_point(self, capsys):
         code, _, err = run_cli(
             capsys, "eval", "--g", "1", "--k", "2", "--eps-u", "0",

@@ -1,20 +1,24 @@
 import functools
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from relay_aloha import (
+    G_MAX,
     NonConvergenceError,
-    SeriesTruncation,
     ancillary_h,
     ancillary_h_oracle,
-    default_truncation,
-    log_binomial,
-    poisson_pmf,
 )
-from relay_aloha.kernels import H_MAX_ORDER, _TOUCHARD_OVER_X, _stirling_rows
+from relay_aloha.kernels import (
+    DEFAULT_TOL,
+    H_MAX_ORDER,
+    _TOUCHARD_OVER_X,
+    _stirling_rows,
+    poisson_table,
+)
 
 H_TEST_X = (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
 
@@ -142,17 +146,40 @@ class TestAncillaryHOracle:
         )
 
     def test_non_convergence(self):
+        # x^n / n! passes the float range before the term cap is reached
         with pytest.raises(NonConvergenceError):
-            ancillary_h_oracle(2, 10.0, SeriesTruncation(tol=1e-14, n_max_hard=5))
+            ancillary_h_oracle(2, 800.0)
+
+
+def pmf_at(g, n):
+    """P[N = n] from the table at tolerance DEFAULT_TOL."""
+    lo, weights, _ = poisson_table(g, DEFAULT_TOL)
+    return weights[n - lo]
+
+
+def poisson_decimal(g, lo, hi, prec=50):
+    """P[N = n] for n = lo..hi in ``prec``-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        G = Decimal(g)
+        p = (-G).exp()
+        out = []
+        for n in range(hi + 1):
+            if n >= lo:
+                out.append(p)
+            p = p * G / (n + 1)
+        return out
 
 
 class TestPoissonPmf:
+    """The Poisson probabilities as :func:`poisson_table` tabulates them."""
+
     def test_empty_channel_certain_at_zero_load(self):
-        assert poisson_pmf(0, 0.0) == 1.0
-        assert poisson_pmf(3, 0.0) == 0.0
+        lo, weights, _ = poisson_table(0.0, DEFAULT_TOL)
+        assert (lo, weights) == (0, [1.0, 0.0])
 
     def test_single_arrival_unit_load(self):
-        assert poisson_pmf(1, 1.0) == pytest.approx(math.exp(-1), rel=1e-15)
+        assert pmf_at(1.0, 1) == pytest.approx(math.exp(-1), rel=1e-15)
 
     def test_against_recurrence(self):
         # pmf(n) = pmf(n-1) * g / n, seeded at pmf(0) = e^-g
@@ -160,66 +187,64 @@ class TestPoissonPmf:
         ref = math.exp(-g)
         for n in range(1, 21):
             ref *= g / n
-        assert poisson_pmf(20, g) == pytest.approx(ref, rel=1e-12)
+        assert pmf_at(g, 20) == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("g", [0.5, 1.0, 5.0, 20.0])
     def test_normalization(self, g):
-        trunc = default_truncation(g)
-        total = math.fsum(
-            poisson_pmf(n, g) for n in range(trunc.n_max_hard + 1)
-        )
-        assert abs(total - 1.0) < trunc.tol
+        lo, weights, err = poisson_table(g, DEFAULT_TOL)
+        assert abs(math.fsum(weights) - 1.0) < 1e-15
+        exact = poisson_decimal(g, lo, lo + len(weights) - 1)
+        assert float(1 - sum(exact)) <= err < 1e-13
 
-    def test_large_count_log_domain(self):
-        # cross-check the log-domain branch against the recurrence
+    def test_large_count(self):
+        # far out in the upper tail, against the recurrence from n = 0
         g = 40.0
         ref = math.exp(-g)
         for n in range(1, 101):
             ref *= g / n
-        assert poisson_pmf(100, g) == pytest.approx(ref, rel=1e-10)
+        lo, weights, _ = poisson_table(g, 1e-20)
+        assert weights[100 - lo] == pytest.approx(ref, rel=1e-12)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            poisson_pmf(1, -0.1)
-        with pytest.raises(ValueError):
-            poisson_pmf(-1, 1.0)
-
-
-class TestLogBinomial:
-    def test_choose_zero(self):
-        assert log_binomial(5, 0) == 0.0
-
-    def test_small_case(self):
-        assert log_binomial(4, 2) == pytest.approx(math.log(6), rel=1e-15)
-
-    def test_against_exact_big_integer(self):
-        assert log_binomial(60, 30) == pytest.approx(
-            math.log(math.comb(60, 30)), rel=1e-14
-        )
-
-    @given(
-        n=st.integers(min_value=0, max_value=400),
-        frac=st.floats(min_value=0.0, max_value=1.0),
-    )
-    def test_matches_exact_everywhere(self, n, frac):
-        k = round(frac * n)
-        assert log_binomial(n, k) == pytest.approx(
-            math.log(math.comb(n, k)), rel=1e-12, abs=1e-12
-        )
-
-    def test_k_exceeds_n(self):
-        with pytest.raises(ValueError):
-            log_binomial(3, 4)
+        for g in (-0.1, math.inf, math.nan, 1e300,
+                  math.nextafter(G_MAX, math.inf)):
+            with pytest.raises(ValueError):
+                poisson_table(g, DEFAULT_TOL)
 
 
 class TestSeriesTruncation:
+    """Where :func:`poisson_table` cuts the Poisson law off."""
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SeriesTruncation(tol=0.0)
-        with pytest.raises(ValueError):
-            SeriesTruncation(tol=1e-14, n_max_hard=0)
+        for tol in (0.0, -1e-14, math.nan):
+            with pytest.raises(ValueError):
+                poisson_table(1.0, tol)
 
     def test_default_cap_scales_with_load(self):
-        assert default_truncation(1.0).n_max_hard == 200
-        big = default_truncation(400.0)
-        assert big.n_max_hard >= 400 + 12 * 20 + 50
+        # each side ends at the first count past the mode where both
+        # P[N = n] and the geometric bound on the mass beyond are < tol
+        def done(w, beyond):
+            return w < DEFAULT_TOL and w * beyond < DEFAULT_TOL
+
+        for g in (1.0, 8.0, 400.0, 1e6):
+            lo, weights, _ = poisson_table(g, DEFAULT_TOL)
+            hi = lo + len(weights) - 1
+            assert hi > g and done(weights[-1], g / (hi + 1 - g))
+            assert hi - 1 <= g or not done(weights[-2], g / (hi - g))
+            if lo:
+                assert done(weights[0], lo / (g - lo))
+                assert not done(weights[1], (lo + 1) / (g - lo - 1))
+            assert hi - g <= 12.0 * math.sqrt(g) + 50.0
+        assert poisson_table(30.0, DEFAULT_TOL)[0] == 0
+        assert poisson_table(400.0, DEFAULT_TOL)[0] > 0
+        assert len(poisson_table(1e6, DEFAULT_TOL)[1]) < 20_000
+
+    @given(
+        g=st.floats(min_value=0.0, max_value=1000.0),
+        tol=st.sampled_from([DEFAULT_TOL, 2.0**-53, 1e-6]),
+    )
+    def test_error_covers_omitted_mass_and_rounding(self, g, tol):
+        lo, weights, err = poisson_table(g, tol)
+        exact = poisson_decimal(g, lo, lo + len(weights) - 1)
+        off = sum(abs(Decimal(w) - p) for w, p in zip(weights, exact))
+        assert off + (1 - sum(exact)) <= Decimal(err)

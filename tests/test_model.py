@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from relay_aloha import (
     EPS_FLOOR,
+    G_MAX,
     K_CLOSED_MAX,
     SystemParams,
     bound,
@@ -17,7 +18,6 @@ from relay_aloha import (
     delta_star_k2,
     p_decode_uplink,
     peak_load,
-    q_success_downlink_arrival,
     s_star_k2,
     throughput,
     throughput_closed,
@@ -79,6 +79,7 @@ class TestDomainErrors:
         "g,k,eu",
         [(2.0, 2.5, 0.3), (2.0, True, 0.3), (2.0, 25.0, 0.3), (2.0, "2", 0.3),
          (math.inf, 2, 0.3), (math.nan, 2, 0.3), (-1.0, 2, 0.3),
+         (1e300, 2, 0.3), (math.nextafter(G_MAX, math.inf), 2, 0.3),
          (2.0, 0, 0.3), (2.0, 2, 1.5)],
     )
     def test_bad_bound_arguments(self, g, k, eu):
@@ -89,17 +90,31 @@ class TestDomainErrors:
     def test_integer_like_bound_relay_count(self):
         assert bound(2.0, np.int64(3), 0.3) == bound(2.0, 3, 0.3)
 
-    @pytest.mark.parametrize("g", [math.inf, math.nan, -0.5])
+    @pytest.mark.parametrize(
+        "g", [math.inf, math.nan, -0.5, math.nextafter(G_MAX, math.inf)]
+    )
     def test_single_link_needs_a_finite_load(self, g):
         with pytest.raises(ValueError, match="g must be finite"):
             throughput_sa(g, 0.3)
 
     def test_explicit_closed_form_far_past_the_load_limit(self):
-        # a term overflows: a documented ValueError, not an fsum error
-        with pytest.raises(ValueError, match="non-finite term"):
+        # past G_MAX: a documented ValueError, not an overflow in fsum
+        with pytest.raises(ValueError, match="g must be finite"):
             throughput_closed(SystemParams(1e300, 20, 0.999, 0.0, 1.0))
-        with pytest.raises(ValueError, match="non-finite term"):
+        with pytest.raises(ValueError, match="g must be finite"):
             bound_closed(1e300, 20, 0.999)
+        # at G_MAX every closed-form term is finite
+        assert math.isfinite(bound_closed(G_MAX, 20, 0.999).est_abs_error)
+        assert math.isfinite(throughput_closed(
+            SystemParams(G_MAX, 20, 0.999, 0.0, 1.0)).est_abs_error)
+
+    def test_a_million_packets_per_slot(self):
+        # the table spans about 14 sqrt(g) counts, not g of them
+        p = SystemParams(1e6, 25, 0.3, 0.3, 0.5)
+        for r in (throughput(p), bound(1e6, 25, 0.3)):
+            assert r.method == "series"
+            assert r.terms_used < 20_000
+            assert 0.0 <= r.value <= r.est_abs_error < 1e-10
 
 
 class TestUplinkDecoding:
@@ -120,23 +135,6 @@ class TestUplinkDecoding:
     @given(n=st.integers(min_value=0, max_value=200), eps=eps_floats)
     def test_is_a_probability(self, n, eps):
         assert 0.0 <= p_decode_uplink(n, eps) <= 1.0
-
-
-class TestDownlinkArrival:
-    def test_all_clean_always_forwarded(self):
-        p = SystemParams(1.0, 1, 0.0, 0.0, 1.0)
-        assert q_success_downlink_arrival(1, p) == 1.0
-
-    def test_never_forwards(self):
-        p = SystemParams(1.0, 3, 0.2, 0.2, 0.0)
-        for n in range(5):
-            assert q_success_downlink_arrival(n, p) == 0.0
-
-    def test_factor_product(self):
-        p = SystemParams(1.0, 2, 0.3, 0.2, 0.5)
-        assert q_success_downlink_arrival(2, p) == pytest.approx(
-            2 * 0.7 * 0.3 * 0.5 * 0.8, abs=1e-15
-        )
 
 
 class TestSingleLinkThroughput:
@@ -431,6 +429,27 @@ def bound_closed_decimal(g, k, eu, prec=80):
         return 1 - total
 
 
+def series_decimal(g, k, eu, ed, d, prec=40):
+    """(S, S~) as Poisson-weighted series in ``prec``-digit decimal
+    arithmetic, summed until the Poisson terms pass 1e-(prec + 5)."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        G, EU, ED, D = Decimal(g), Decimal(eu), Decimal(ed), Decimal(d)
+        weight = (-G).exp()
+        small = Decimal(10) ** -(prec + 5)
+        s = b = Decimal(0)
+        n = 0
+        while n <= g or weight >= small:
+            # Decimal leaves 0**0 undefined
+            p = n * (1 - EU) * (EU ** (n - 1) if n > 1 else 1) if n else 0
+            q = p * D * (1 - ED)
+            s += weight * k * q * ((1 - q) ** (k - 1) if k > 1 else 1)
+            b += weight * (1 - (1 - p) ** k)
+            n += 1
+            weight = weight * G / n
+        return +s, +b
+
+
 def assert_within_estimate(result, ref, prec=80):
     """|value - ref| <= est_abs_error, compared exactly, give or take
     the reference's own rounding at ``prec`` digits."""
@@ -526,3 +545,31 @@ class TestClosedFormErrorEstimate:
         rb = bound(g, k, eu)
         assert rb.method == "closed_form"
         assert_within_estimate(rb, bound_closed_decimal(g, k, eu, 400), 400)
+
+
+class TestSeriesErrorEstimate:
+    """est_abs_error of a series covers its distance from a
+    high-precision evaluation of the same series."""
+
+    def test_near_the_closed_form_load_limit(self):
+        # where the log-domain pmf used to lose up to 5e-13
+        for g in (600.5, 650.0, 693.1, 699.9):
+            s, b = series_decimal(g, 20, 0.999, 0.3, 0.7)
+            r = throughput_series(SystemParams(g, 20, 0.999, 0.3, 0.7))
+            assert 0.0 < r.est_abs_error < 1e-12
+            assert_within_estimate(r, s, 40)
+            assert_within_estimate(bound_series(g, 20, 0.999), b, 40)
+
+    @given(
+        g=st.floats(min_value=0.0, max_value=700.0),
+        k=st.integers(min_value=1, max_value=32),
+        eu=st.floats(min_value=0.0, max_value=0.999),
+        ed=eps_floats,
+        d=eps_floats,
+    )
+    def test_estimate_covers_the_error(self, g, k, eu, ed, d):
+        s, b = series_decimal(g, k, eu, ed, d)
+        assert_within_estimate(
+            throughput_series(SystemParams(g, k, eu, ed, d)), s, 40
+        )
+        assert_within_estimate(bound_series(g, k, eu), b, 40)

@@ -13,6 +13,15 @@ from relay_aloha import (
     throughput,
     throughput_series,
 )
+from relay_aloha.model import _delta_curve
+from relay_aloha.optimize import DEFAULT_ARG_TOL, _DELTA_GRID, _grid_then_golden
+
+
+def generic_delta_search(g, k, eps_u, eps_d, arg_tol=DEFAULT_ARG_TOL):
+    """optimize_delta's grid + golden section, without the k = 2
+    peak-load shortcut: (delta*, S*, evaluations)."""
+    curve = _delta_curve(SystemParams(g, k, eps_u, eps_d, 0.0))
+    return _grid_then_golden(lambda d: curve(d).value, _DELTA_GRID, arg_tol)
 
 
 class TestOptimizeDelta:
@@ -23,9 +32,9 @@ class TestOptimizeDelta:
         assert r.method == "grid_golden"
 
     def test_clean_two_relay_peak_load(self):
-        r = optimize_delta(1.0, 2, 0.0, 0.0, use_k2_shortcut=False)
-        assert r.arg_star == pytest.approx(0.5, abs=1e-6)
-        assert r.value_star == pytest.approx(1 / (2 * math.e), abs=1e-8)
+        d_star, s_star, _ = generic_delta_search(1.0, 2, 0.0, 0.0)
+        assert d_star == pytest.approx(0.5, abs=1e-6)
+        assert s_star == pytest.approx(1 / (2 * math.e), abs=1e-8)
 
     def test_shortcut_reports_its_method(self):
         r = optimize_delta(peak_load(0.3), 2, 0.3, 0.3)
@@ -38,12 +47,11 @@ class TestOptimizeDelta:
         for iu in range(10):
             for id_ in range(10):
                 eu, ed = iu / 10, id_ / 10
-                r = optimize_delta(
-                    peak_load(eu), 2, eu, ed,
-                    use_k2_shortcut=False,
+                d_star, s_star, _ = generic_delta_search(
+                    peak_load(eu), 2, eu, ed
                 )
-                assert abs(r.arg_star - delta_star_k2(eu, ed)) <= r.arg_tol
-                assert abs(r.value_star - s_star_k2(eu, ed)) <= 1e-8
+                assert abs(d_star - delta_star_k2(eu, ed)) <= DEFAULT_ARG_TOL
+                assert abs(s_star - s_star_k2(eu, ed)) <= 1e-8
 
     def test_against_dense_grid_oracle(self):
         # independent oracle: exhaustive 1e-4-step scan of the series path

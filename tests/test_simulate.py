@@ -12,6 +12,7 @@ from relay_aloha import (
     SimConfig,
     SystemParams,
     bound_series,
+    p_decode_uplink,
     peak_load,
     rng_substream,
     simulate,
@@ -20,12 +21,8 @@ from relay_aloha import (
     throughput_sa,
     throughput_series,
 )
-from relay_aloha.simulate import (
-    _CHUNK,
-    _BatchMeans,
-    _decode_prob_table,
-    _occupancy_cdf,
-)
+from relay_aloha.kernels import poisson_table
+from relay_aloha.simulate import _CHUNK, _TAIL, _BatchMeans, _occupancy
 
 
 def within_ci(estimate, target, halfwidth, sigmas=3):
@@ -335,8 +332,7 @@ def replay(cfg):
     w = cfg.warmup_slots
     full = cfg.mode != MODE_BOUND
     rng = rng_substream(cfg.seed, cfg.stream_id)
-    cdf = _occupancy_cdf(p.g)
-    p_dec = _decode_prob_table(cdf.size, p.eps_u)
+    cdf, p_dec = _occupancy(p.g, p.eps_u)
     occ, relay_u = [], []
     for start in range(0, total, _CHUNK):
         c = min(_CHUNK, total - start)
@@ -426,6 +422,21 @@ class TestStreaming:
                                 n_slots=50_000, seed=53))
         assert st.delivered_packets == st.total_decodes == 0
         assert st.ci95_halfwidth == 0.0
+
+    @pytest.mark.parametrize("g", [0.0, 0.25, 2.0, 50.0, 300.0, 1e6])
+    def test_occupancy_cdf_is_a_cdf(self, g):
+        cdf, p_dec = _occupancy(g, 0.3)
+        lo, weights, _ = poisson_table(g, _TAIL)
+        assert cdf.size + 1 == p_dec.size == len(weights)
+        assert np.all(np.diff(cdf) >= 0.0)
+        assert cdf[0] >= 0.0 and cdf[-1] <= 1.0
+        assert p_dec[0] == p_decode_uplink(lo, 0.3)
+
+    def test_a_million_packets_per_slot(self):
+        p = SystemParams(1e6, 4, 0.3, 0.3, 0.5)
+        st = simulate(SimConfig(params=p, n_slots=2000, seed=73))
+        # nothing decodes with a million packets in a slot
+        assert st.total_decodes == 0 and st.throughput_estimate == 0.0
 
     def test_heavy_load_runs(self):
         p = SystemParams(300.0, 2, 0.99, 0.1, 0.5)
