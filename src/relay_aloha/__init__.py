@@ -17,8 +17,6 @@ from .kernels import (
     ancillary_h_oracle,
 )
 from .model import (
-    EPS_FLOOR,
-    K_CLOSED_MAX,
     SystemParams,
     ThroughputResult,
     bound,
@@ -63,10 +61,8 @@ from .sweep import (
 )
 
 __all__ = [
-    "EPS_FLOOR",
     "FIGURE_IDS",
     "G_MAX",
-    "K_CLOSED_MAX",
     "MODE_BOUND",
     "MODE_FULL",
     "NonConvergenceError",

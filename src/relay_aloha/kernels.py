@@ -98,8 +98,9 @@ def ancillary_h_oracle(m: int, x: float) -> float:
 
     Terms are accumulated until the sequence is past its maximum and the
     first omitted term is below DEFAULT_TOL, for at most
-    max(200, x + m + 12 sqrt(x + m) + 50) terms.  Independent of the
-    Touchard form in :func:`ancillary_h` by construction.
+    max(200, x + m + 12 sqrt(x + m) + 50) terms; a sum past the float
+    range is a ValueError.  Independent of the Touchard form in
+    :func:`ancillary_h` by construction.
     """
     if m < 0:
         raise ValueError(f"order m must be non-negative, got {m}")
@@ -113,6 +114,8 @@ def ancillary_h_oracle(m: int, x: float) -> float:
     while n <= n_max:
         term = weight * float(n) ** m if n > 0 else (1.0 if m == 0 else 0.0)
         total += term
+        if total == math.inf:  # x^n / n! or a term overflowed
+            raise ValueError(f"H_{m}({x}) exceeds the float range")
         if n >= 1 and term < DEFAULT_TOL and term <= prev and n > x:
             return total
         prev = term

@@ -11,9 +11,9 @@ shared slotted-ALOHA downlink whose packets are erased with probability
 End-to-end throughput is the mean number of packets the sink decodes per
 slot.  It is available both as a truncated series over the slot occupancy
 and in closed form as an alternating sum built on the kernels
-e^-g H_m(x) = e^(x-g) T_m(x) (T_m the Touchard polynomial); the two paths
-agree to within their reported error estimates and are cross-checked
-against each other and against the simulator in the test suite.
+e^-g H_m(x) = e^(x-g) T_m(x) (T_m the Touchard polynomial), whose error
+estimate measures the cancellation: :func:`throughput` and :func:`bound`
+take it where that estimate is at most 1e-12, the series elsewhere.
 """
 
 from __future__ import annotations
@@ -26,25 +26,22 @@ from .kernels import (
     _UNIT_ROUNDOFF,
     DEFAULT_TOL,
     G_MAX,
+    H_MAX_ORDER,
     integer_arg,
     poisson_table,
     touchard_over_x,
 )
 
-# Dispatch limits of the closed forms.  At eps_u <= EPS_FLOOR the paper's
-# eps_u**-m factors exist only as a limit; past K_CLOSED_MAX the
-# alternating sums shed digits (the cap is certified against a
-# high-precision evaluation in the test suite); loads from _G_CLOSED_MAX
-# on go to the series paths, which are exact and stable everywhere.
-EPS_FLOOR = 1e-6
-K_CLOSED_MAX = 20
-_G_CLOSED_MAX = 700.0
+# The dispatch rule: throughput and bound take a closed form when k <=
+# H_MAX_ORDER (its Touchard table) and its own rounding estimate is at
+# most _DISPATCH_TOL, the series otherwise.
+_DISPATCH_TOL = 1e-12
 
-# Weights w_m of the closed-form terms m = 1..k, for each k <= the cap:
+# Weights w_m of the closed-form terms m = 1..k, for each k <= H_MAX_ORDER:
 # (-1)^m C(k, m) in the bound, -m times that in the throughput.
 _BOUND_WEIGHTS = tuple(
     tuple(float((-1) ** m * math.comb(k, m)) for m in range(1, k + 1))
-    for k in range(K_CLOSED_MAX + 1)
+    for k in range(H_MAX_ORDER + 1)
 )
 _THROUGHPUT_WEIGHTS = tuple(
     tuple(-m * w for m, w in enumerate(row, 1)) for row in _BOUND_WEIGHTS
@@ -188,33 +185,33 @@ def bound_series(g: float, k: int, eps_u: float) -> ThroughputResult:
     return ThroughputResult(total, "series", len(weights), err)
 
 
-def _check_closed(k: int, eps_u: float, series: str) -> None:
-    if eps_u <= EPS_FLOOR:
-        why = f"singular for eps_u <= {EPS_FLOOR} (got {eps_u})"
-    elif k > K_CLOSED_MAX:
-        why = f"unstable for k > {K_CLOSED_MAX} (got {k})"
-    else:
-        return
-    raise ValueError(f"closed form is {why}; use {series}")
+def _closed_domain(k: int) -> None:
+    if k > H_MAX_ORDER:  # the Touchard table's order; eps_u may be 0
+        raise ValueError(f"closed form needs k <= {H_MAX_ORDER}, got {k}")
 
 
 def _kernel_terms(
-    g: float, eps_u: float, weights: tuple[float, ...]
-) -> list[float]:
-    """w_m g e^(x_m - g) T_m(x_m) / x_m, x_m = g eps_u^m, for m = 1..k.
+    g: float, eps_u: float, weights: tuple[float, ...], r: float
+) -> tuple[list[float], float]:
+    """w_m g e^(x_m - g) T_m(x_m) / x_m, x_m = g eps_u^m, for m = 1..k,
+    and the sum of their magnitudes times r^m.
 
     e^-g H_m(x) = e^(x-g) T_m(x), T_m the Touchard polynomial; the
     eps_u^-m of each closed-form term cancels against x_m, leaving these
     times r^m (see the callers), and x_m <= g keeps every factor finite.
     """
     out = []
+    size, power = 0.0, 1.0
     for m, c in enumerate(weights, 1):
         p = eps_u**m
         x = g * p
         # p - 1 is exact for p >= 1/2: the exponent keeps one rounding
-        out.append(c * touchard_over_x(m, x) * g
-                   * math.exp(g * (p - 1.0) if p >= 0.5 else x - g))
-    return out
+        t = (c * touchard_over_x(m, x) * g
+             * math.exp(g * (p - 1.0) if p >= 0.5 else x - g))
+        power *= r
+        size += abs(t) * power
+        out.append(t)
+    return out, size
 
 
 def _closed_sum(
@@ -227,8 +224,7 @@ def _closed_sum(
     and exp(x_m - g), whose argument's error grows with g.  Split off,
     the exponent keeps the powers normal, so a term loses at most ~2^-1075
     a step, only if subnormal; (k+1)^2 2^-1074 covers that unless r = 0.
-    Every term is finite: |t_m| <= 20 C(20, 10) g T_20(g) / g < 1e190
-    for g <= G_MAX.
+    Every term is finite: |t_m| <= m C(k, m) T_m(g) < 1e290 for g <= G_MAX.
     """
     terms = [
         math.ldexp(c * mant**m, exp2 * m) for m, c in enumerate(coeffs, 1)
@@ -240,20 +236,24 @@ def _closed_sum(
     return math.fsum(terms), err
 
 
-def _closed_curve(params: SystemParams) -> Callable[[float], ThroughputResult]:
-    """Closed-form throughput as a function of delta; the k delta-free
-    coefficients are computed once."""
+def _closed_curve(
+    params: SystemParams,
+) -> tuple[Callable[[float], ThroughputResult], float]:
+    """Closed-form throughput as a function of delta, its k delta-free
+    coefficients computed once, and its error estimate at delta = 1, which
+    bounds every delta's (each |t_m| grows like delta^m)."""
     g, k, eps_u = params.g, params.k, params.eps_u
-    coeffs = _kernel_terms(g, eps_u, _THROUGHPUT_WEIGHTS[k])
-    # r = delta (1-eps_u) (1-eps_d); a subnormal delta loses no bits
-    mant_s, exp_s = math.frexp((1.0 - eps_u) * (1.0 - params.eps_d))
+    r1 = (1.0 - eps_u) * (1.0 - params.eps_d)
+    coeffs, size = _kernel_terms(g, eps_u, _THROUGHPUT_WEIGHTS[k], r1)
+    # r = delta r1; a subnormal delta loses no bits
+    mant_s, exp_s = math.frexp(r1)
 
     def at(delta: float) -> ThroughputResult:
         mant_d, exp_d = math.frexp(delta)
         value, err = _closed_sum(coeffs, mant_d * mant_s, exp_d + exp_s, g, k)
         return ThroughputResult(value, "closed_form", k, err)
 
-    return at
+    return at, (k + g + 8) * _UNIT_ROUNDOFF * size
 
 
 def throughput_closed(params: SystemParams) -> ThroughputResult:
@@ -266,11 +266,12 @@ def throughput_closed(params: SystemParams) -> ThroughputResult:
             [delta (1-eps_u) (1-eps_d) / eps_u]^(l+1)
             e^-g H_{l+1}(g eps_u^(l+1)).
 
-    Requires eps_u above EPS_FLOOR and k at most K_CLOSED_MAX (the sum
-    alternates); use the series path outside that region.
+    The eps_u^-(l+1) cancels inside the kernels, so any eps_u in [0, 1]
+    is valid; k above H_MAX_ORDER is a ValueError.  The sum alternates:
+    ``est_abs_error`` reports its cancellation.
     """
-    _check_closed(params.k, params.eps_u, "throughput_series")
-    return _closed_curve(params)(params.delta)
+    _closed_domain(params.k)
+    return _closed_curve(params)[0](params.delta)
 
 
 def bound_closed(g: float, k: int, eps_u: float) -> ThroughputResult:
@@ -282,36 +283,35 @@ def bound_closed(g: float, k: int, eps_u: float) -> ThroughputResult:
     By construction this is the probability that at least one relay
     decodes in a slot; it does not depend on delta or eps_d, which is why
     neither is a parameter.  The l = 0 term is 1 and cancels exactly.
+    Like :func:`throughput_closed`, it takes any eps_u in [0, 1] and k up
+    to H_MAX_ORDER.
     """
     k = _check_uplink(g, k, eps_u)
-    _check_closed(k, eps_u, "bound_series")
-    coeffs = _kernel_terms(g, eps_u, _BOUND_WEIGHTS[k])
+    _closed_domain(k)
+    coeffs, _ = _kernel_terms(g, eps_u, _BOUND_WEIGHTS[k], 1.0 - eps_u)
     s, err = _closed_sum(coeffs, *math.frexp(1.0 - eps_u), g, k)
     return ThroughputResult(0.0 - s, "closed_form", k + 1, err)  # no -0.0
-
-
-def _closed_is_stable(g: float, k: int, eps_u: float) -> bool:
-    return eps_u > EPS_FLOOR and k <= K_CLOSED_MAX and g < _G_CLOSED_MAX
 
 
 def _delta_curve(params: SystemParams) -> Callable[[float], ThroughputResult]:
     """Throughput as a function of delta (``params.delta`` is ignored).
 
-    Takes the path :func:`throughput` takes and does the delta-free work
-    once, so an optimizer's repeated evaluations are cheap and
-    ``throughput(params)`` is ``_delta_curve(params)(params.delta)``.
+    The dispatch rule, decided once per curve: the closed form if k <=
+    H_MAX_ORDER and its estimate at delta = 1, which bounds every
+    delta's, is at most _DISPATCH_TOL, else the series.  The delta-free
+    work is done once, so an optimizer's repeated evaluations are cheap
+    and ``throughput(params)`` is ``_delta_curve(params)(params.delta)``.
     """
-    if _closed_is_stable(params.g, params.k, params.eps_u):
-        return _closed_curve(params)
+    if params.k <= H_MAX_ORDER:
+        closed, err = _closed_curve(params)
+        if err <= _DISPATCH_TOL:
+            return closed
     return _series_curve(params)
 
 
 def throughput(params: SystemParams) -> ThroughputResult:
-    """End-to-end throughput, dispatching to the best evaluation path.
-
-    Closed form wherever it is stable, series otherwise; on the overlap
-    region the two agree to well below 1e-9.
-    """
+    """End-to-end throughput by the closed form where its own error
+    estimate is at most 1e-12, by the series otherwise."""
     return _delta_curve(params)(params.delta)
 
 
@@ -322,8 +322,10 @@ def bound(g: float, k: int, eps_u: float) -> ThroughputResult:
     (not bool) k >= 1 and eps_u in [0, 1], else raises ValueError.
     """
     k = _check_uplink(g, k, eps_u)
-    if _closed_is_stable(g, k, eps_u):
-        return bound_closed(g, k, eps_u)
+    if k <= H_MAX_ORDER:
+        closed = bound_closed(g, k, eps_u)
+        if closed.est_abs_error <= _DISPATCH_TOL:
+            return closed
     return bound_series(g, k, eps_u)
 
 

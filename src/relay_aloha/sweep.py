@@ -107,8 +107,6 @@ def columns_for(spec: SweepSpec) -> list[str]:
 def _params_at(spec: SweepSpec, value: float) -> SystemParams:
     if spec.axis == "eps":
         return replace(spec.fixed, eps_u=value, eps_d=value)
-    if spec.axis == "k":
-        return replace(spec.fixed, k=int(value))
     return replace(spec.fixed, **{spec.axis: value})
 
 

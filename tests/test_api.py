@@ -12,7 +12,8 @@ def test_every_exported_name_imports():
 
 
 REMOVED = ("SeriesTruncation", "default_truncation", "poisson_pmf",
-           "log_binomial", "q_success_downlink_arrival")
+           "log_binomial", "q_success_downlink_arrival", "EPS_FLOOR",
+           "K_CLOSED_MAX")
 
 
 def test_removed_names_are_gone():

@@ -62,12 +62,13 @@ class TestEval:
         assert err.startswith("relay-aloha: error: g must be finite")
 
     def test_closed_method_at_singular_point(self, capsys):
+        # eps_u = 0 is in the closed form's domain; k = 33 is not
         code, _, err = run_cli(
-            capsys, "eval", "--g", "1", "--k", "2", "--eps-u", "0",
+            capsys, "eval", "--g", "1", "--k", "33", "--eps-u", "0",
             "--eps-d", "0", "--delta", "1", "--method", "closed",
         )
         assert code == 1
-        assert "singular" in err
+        assert "closed form needs k <= 32, got 33" in err
 
 
 class TestUsageErrors:

@@ -146,9 +146,15 @@ class TestAncillaryHOracle:
         )
 
     def test_non_convergence(self):
-        # x^n / n! passes the float range before the term cap is reached
-        with pytest.raises(NonConvergenceError):
-            ancillary_h_oracle(2, 800.0)
+        # the terms are still above tol after the 274-term cap
+        with pytest.raises(NonConvergenceError, match="within 274 terms"):
+            ancillary_h_oracle(2, 100.0)
+
+    @pytest.mark.parametrize("m,x", [(2, 800.0), (0, 710.0), (20, 700.0)])
+    def test_past_the_float_range(self, m, x):
+        # x^n / n! or a term overflows: said at once, as ancillary_h does
+        with pytest.raises(ValueError, match="exceeds the float range"):
+            ancillary_h_oracle(m, x)
 
 
 def pmf_at(g, n):

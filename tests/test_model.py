@@ -8,9 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from relay_aloha import (
-    EPS_FLOOR,
     G_MAX,
-    K_CLOSED_MAX,
     SystemParams,
     bound,
     bound_closed,
@@ -25,6 +23,7 @@ from relay_aloha import (
     throughput_sa,
     throughput_series,
 )
+from relay_aloha.kernels import H_MAX_ORDER
 
 eps_floats = st.floats(min_value=0.0, max_value=1.0)
 load_floats = st.floats(min_value=0.0, max_value=8.0)
@@ -111,9 +110,13 @@ class TestDomainErrors:
     def test_a_million_packets_per_slot(self):
         # the table spans about 14 sqrt(g) counts, not g of them
         p = SystemParams(1e6, 25, 0.3, 0.3, 0.5)
-        for r in (throughput(p), bound(1e6, 25, 0.3)):
+        for r in (throughput_series(p), bound_series(1e6, 25, 0.3)):
             assert r.method == "series"
             assert r.terms_used < 20_000
+            assert 0.0 <= r.value <= r.est_abs_error < 1e-10
+        # e^(x_m - g) underflows in every closed-form term: an exact 0
+        for r in (throughput(p), bound(1e6, 25, 0.3)):
+            assert r.method == "closed_form"
             assert 0.0 <= r.value <= r.est_abs_error < 1e-10
 
 
@@ -197,12 +200,20 @@ class TestThroughputClosed:
         )
 
     def test_singularity_below_eps_floor(self):
-        with pytest.raises(ValueError, match="singular"):
-            throughput_closed(SystemParams(1.0, 2, 0.0, 0.0, 1.0))
+        # eps_u = 0 is in the domain: the eps_u^-m factors cancel in the
+        # kernels; the one domain error left is the Touchard table's order
+        r = throughput_closed(SystemParams(1.0, 2, 0.0, 0.0, 1.0))
+        assert r.value == 0.0
+        with pytest.raises(ValueError, match="k <= 32, got 33"):
+            throughput_closed(SystemParams(1.0, 33, 0.0, 0.0, 1.0))
 
     def test_unstable_above_k_cap(self):
-        with pytest.raises(ValueError, match="unstable"):
-            throughput_closed(SystemParams(1.0, K_CLOSED_MAX + 1, 0.3, 0.0, 1.0))
+        r = throughput_closed(SystemParams(1.0, 21, 0.3, 0.0, 1.0))
+        assert r.method == "closed_form" and math.isfinite(r.est_abs_error)
+        with pytest.raises(ValueError, match="closed form needs k <= 32"):
+            throughput_closed(
+                SystemParams(1.0, H_MAX_ORDER + 1, 0.3, 0.0, 1.0)
+            )
 
 
 class TestDispatch:
@@ -210,7 +221,7 @@ class TestDispatch:
         # both relays always decode the same lone packet and always
         # collide at the sink when delta = 1
         r = throughput(SystemParams(1.0, 2, 0.0, 0.0, 1.0))
-        assert r.method == "series"
+        assert r.method == "closed_form"
         assert r.value == 0.0
 
     def test_closed_path_in_the_stable_region(self):
@@ -218,10 +229,11 @@ class TestDispatch:
         assert r.method == "closed_form"
 
     def test_paths_agree_just_above_the_floor(self):
-        p = SystemParams(1.0, 3, 2 * EPS_FLOOR, 0.1, 0.8)
-        assert throughput_closed(p).value == pytest.approx(
-            throughput_series(p).value, abs=1e-9
-        )
+        for eps_u in (0.0, 1e-9, 2e-6):
+            p = SystemParams(1.0, 3, eps_u, 0.1, 0.8)
+            assert throughput_closed(p).value == pytest.approx(
+                throughput_series(p).value, abs=1e-9
+            )
 
     @given(params=params_strategy())
     def test_value_is_a_probability(self, params):
@@ -272,10 +284,13 @@ class TestBound:
             )
 
     def test_singularity_and_cap(self):
-        with pytest.raises(ValueError, match="singular"):
-            bound_closed(1.0, 2, 0.0)
-        with pytest.raises(ValueError, match="unstable"):
-            bound_closed(1.0, K_CLOSED_MAX + 1, 0.3)
+        # at eps_u = 0 every relay decodes the same lone packet: g e^-g
+        assert bound_closed(1.0, 2, 0.0).value == pytest.approx(
+            math.exp(-1), rel=1e-14
+        )
+        for eu in (0.0, 0.3):
+            with pytest.raises(ValueError, match="k <= 32, got 33"):
+                bound_closed(1.0, H_MAX_ORDER + 1, eu)
 
     @given(g=load_floats, k=relay_counts, eps_u=eps_floats)
     def test_dominates_throughput(self, g, k, eps_u):
@@ -460,9 +475,8 @@ def assert_within_estimate(result, ref, prec=80):
 
 
 class TestClosedFormCapCertification:
-    """The k cap for the closed form is certified against an
-    arbitrary-precision evaluation at the cap itself, where alternating
-    cancellation is worst."""
+    """At k = 20, where alternating cancellation is already large, the
+    closed form is checked against an arbitrary-precision evaluation."""
 
     @pytest.mark.parametrize(
         "g,eu,ed,d",
@@ -473,15 +487,15 @@ class TestClosedFormCapCertification:
         ],
     )
     def test_cap_error_within_budget(self, g, eu, ed, d):
-        p = SystemParams(g, K_CLOSED_MAX, eu, ed, d)
-        ref = closed_form_decimal(g, K_CLOSED_MAX, eu, ed, d)
+        p = SystemParams(g, 20, eu, ed, d)
+        ref = closed_form_decimal(g, 20, eu, ed, d)
         assert abs(throughput_closed(p).value - float(ref)) < 1e-9
         assert abs(throughput_series(p).value - float(ref)) < 1e-13
         # and each closed form's own error estimate covers its error
         assert_within_estimate(throughput_closed(p), ref)
         assert_within_estimate(
-            bound_closed(g, K_CLOSED_MAX, eu),
-            bound_closed_decimal(g, K_CLOSED_MAX, eu),
+            bound_closed(g, 20, eu),
+            bound_closed_decimal(g, 20, eu),
         )
 
 
@@ -503,17 +517,26 @@ class TestClosedFormErrorEstimate:
 
     @pytest.mark.parametrize("p", HARD_THROUGHPUT)
     def test_throughput_at_hard_points(self, p):
-        r = throughput(SystemParams(*p))
+        r = throughput_closed(SystemParams(*p))
         assert r.method == "closed_form"
         assert 0.0 < r.est_abs_error < 1e-7
-        assert_within_estimate(r, closed_form_decimal(*p))
+        ref = closed_form_decimal(*p)
+        assert_within_estimate(r, ref)
+        # an estimate that large sends the dispatcher to the series
+        r = throughput(SystemParams(*p))
+        assert r.method == "series"
+        assert_within_estimate(r, ref)
 
     @pytest.mark.parametrize("p", HARD_BOUND)
     def test_bound_at_hard_points(self, p):
-        r = bound(*p)
+        r = bound_closed(*p)
         assert r.method == "closed_form"
         assert 0.0 < r.est_abs_error < 1e-7
-        assert_within_estimate(r, bound_closed_decimal(*p))
+        ref = bound_closed_decimal(*p)
+        assert_within_estimate(r, ref)
+        r = bound(*p)
+        assert r.method == "series"
+        assert_within_estimate(r, ref)
 
     def test_bound_reference_matches_series(self):
         for g, k, eu in [(1.2, 4, 0.4), (4.0, 8, 0.9)]:
@@ -529,7 +552,7 @@ class TestClosedFormErrorEstimate:
 
     @given(
         g=st.floats(min_value=0.0, max_value=700.0, exclude_max=True),
-        k=st.integers(min_value=1, max_value=K_CLOSED_MAX),
+        k=st.integers(min_value=1, max_value=20),
         eu=st.floats(min_value=1e-5, max_value=1.0),
         ed=eps_floats,
         d=eps_floats,
@@ -537,12 +560,12 @@ class TestClosedFormErrorEstimate:
     def test_estimate_covers_the_error(self, g, k, eu, ed, d):
         # 400 digits: the decimal bound takes 1 minus a sum as close to 1
         # as 1 - e^-700
-        r = throughput(SystemParams(g, k, eu, ed, d))
+        r = throughput_closed(SystemParams(g, k, eu, ed, d))
         assert r.method == "closed_form"
         assert_within_estimate(
             r, closed_form_decimal(g, k, eu, ed, d, 400), 400
         )
-        rb = bound(g, k, eu)
+        rb = bound_closed(g, k, eu)
         assert rb.method == "closed_form"
         assert_within_estimate(rb, bound_closed_decimal(g, k, eu, 400), 400)
 
@@ -573,3 +596,26 @@ class TestSeriesErrorEstimate:
             throughput_series(SystemParams(g, k, eu, ed, d)), s, 40
         )
         assert_within_estimate(bound_series(g, k, eu), b, 40)
+
+
+class TestErrorBoundedDispatch:
+    """throughput and bound take the closed form only where its own
+    estimate is at most 1e-12, and every result, on either path, lies
+    within its estimate of the exact value (series_decimal, which both
+    paths approximate)."""
+
+    @given(
+        g=st.floats(min_value=0.0, max_value=700.0),
+        k=st.integers(min_value=1, max_value=H_MAX_ORDER),
+        eu=st.floats(min_value=0.0, max_value=0.999),
+        ed=eps_floats,
+        d=eps_floats,
+    )
+    def test_dispatch_is_error_bounded(self, g, k, eu, ed, d):
+        s, b = series_decimal(g, k, eu, ed, d)
+        for r, ref in ((throughput(SystemParams(g, k, eu, ed, d)), s),
+                       (bound(g, k, eu), b)):
+            assert r.method in ("closed_form", "series")
+            if r.method == "closed_form":
+                assert r.est_abs_error <= 1.000001e-12
+            assert_within_estimate(r, ref, 40)

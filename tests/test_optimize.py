@@ -82,10 +82,12 @@ class TestOptimizeDelta:
     @pytest.mark.parametrize(
         "g,k,eu,ed",
         [(2.0, 8, 0.3, 0.3), (1.0, 3, 0.3, 0.1), (1.4, 25, 0.3, 0.3),
-         (1.0, 2, 0.0, 0.0), (peak_load(0.3), 2, 0.3, 0.3)],
+         (1.0, 2, 0.0, 0.0), (peak_load(0.3), 2, 0.3, 0.3),
+         (1 / 0.9, 15, 0.1, 0.1), (1.4, 33, 0.3, 0.3)],
     )
     def test_value_is_throughput_at_argument_bit_for_bit(self, g, k, eu, ed):
-        # closed form, series (k > K_CLOSED_MAX, eps_u = 0) and shortcut
+        # closed form (k = 8, 3; eps_u = 0), series (an estimate above
+        # 1e-12 at k = 25, 15; k > 32) and the k = 2 shortcut
         r = optimize_delta(g, k, eu, ed)
         at_arg = throughput(SystemParams(g, k, eu, ed, r.arg_star)).value
         assert r.value_star == at_arg

@@ -71,15 +71,24 @@ class TestRunSweep:
         rows = run_sweep(spec)
         assert [r["k"] for r in rows] == [1, 2, 4]
 
-    def test_failing_output_fills_the_error_cell(self):
+    def test_non_integer_k_fills_the_error_cell(self):
         spec = SweepSpec(
-            axis="eps_u", values=(0.0, 0.3), fixed=FIXED, outputs=("closed",)
+            axis="k", values=(2, 2.5), fixed=FIXED, outputs=("analytic",)
         )
         rows = run_sweep(spec)
-        assert rows[0]["closed"] == ""
-        assert "singular" in rows[0]["error"]
-        assert rows[1]["error"] == ""
-        assert 0.0 <= rows[1]["closed"] <= 1.0
+        assert rows[0]["k"] == 2 and rows[0]["error"] == ""
+        assert "k" not in rows[1]
+        assert rows[1]["error"] == "k must be an integer, got 2.5"
+
+    def test_failing_output_fills_the_error_cell(self):
+        spec = SweepSpec(
+            axis="k", values=(2, 33), fixed=FIXED, outputs=("closed",)
+        )
+        rows = run_sweep(spec)
+        assert rows[0]["error"] == ""
+        assert 0.0 <= rows[0]["closed"] <= 1.0
+        assert rows[1]["closed"] == ""
+        assert "k <= 32, got 33" in rows[1]["error"]
 
     def test_every_present_numeric_cell_is_finite(self):
         spec = SweepSpec(
