@@ -10,6 +10,7 @@ the simulator's occupancy draw uses too.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 
 DEFAULT_TOL = 1e-14
@@ -46,15 +47,41 @@ _TOUCHARD_OVER_X = tuple(
 )
 
 
-def integer_arg(name: str, value: object) -> int:
-    """``value`` through ``operator.index`` (numpy integers pass); a float,
-    a string or a bool (an int, but no count) is a ValueError."""
+def integer_arg(name: str, value: object, lo: int,
+                hi: int | None = None) -> int:
+    """``value`` as an ``int`` in lo..hi (None: no limit), through
+    ``operator.index`` (numpy integers pass); a float, a string, a bool
+    (an int, but no count) or a value out of range is a ValueError."""
     try:
         if isinstance(value, bool):
             raise TypeError
-        return operator.index(value)
+        v = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if lo <= v and (hi is None or v <= hi):
+        return v
+    limits = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+    raise ValueError(f"{name} must be {limits}, got {v}")
+
+
+def real_arg(name: str, value: object, lo: float, hi: float,
+             open_lo: bool = False, open_hi: bool = False) -> float:
+    """``value`` as a ``float`` in [lo, hi], either end open if asked.
+
+    Any real number (int, numpy scalar, Fraction) is converted, so float32
+    inputs are computed in float64; str, bytes, None, complex, bool, NaN
+    or a value out of range is a ValueError."""
+    v = value
+    if type(v) is not float:  # the common case skips the ABC check
+        try:
+            real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+            v = float(v) if real else math.nan
+        except OverflowError:  # an int past the float range
+            v = math.nan
+    if (lo < v if open_lo else lo <= v) and (v < hi if open_hi else v <= hi):
+        return v
+    raise ValueError(f"{name} must be finite and in {'(' if open_lo else '['}"
+                     f"{lo:g}, {hi:g}{')' if open_hi else ']'}, got {value!r}")
 
 
 def touchard_over_x(m: int, x: float) -> float:
@@ -79,11 +106,8 @@ def ancillary_h(m: int, x: float) -> float:
     H_MAX_ORDER and values past the float range (x above about 709)
     are a ValueError.
     """
-    m = integer_arg("order m", m)
-    if not 0 <= m <= H_MAX_ORDER:
-        raise ValueError(f"order m must be in 0..{H_MAX_ORDER}, got {m}")
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"x must be finite and non-negative, got {x}")
+    m = integer_arg("order m", m, 0, H_MAX_ORDER)
+    x = real_arg("x", x, 0.0, math.inf, open_hi=True)
     try:
         h = math.exp(x) * (x * touchard_over_x(m, x) if m else 1.0)
     except OverflowError:
@@ -98,14 +122,12 @@ def ancillary_h_oracle(m: int, x: float) -> float:
 
     Terms are accumulated until the sequence is past its maximum and the
     first omitted term is below DEFAULT_TOL, for at most
-    max(200, x + m + 12 sqrt(x + m) + 50) terms; a sum past the float
-    range is a ValueError.  Independent of the Touchard form in
-    :func:`ancillary_h` by construction.
+    max(200, x + m + 12 sqrt(x + m) + 50) terms; it takes the orders
+    :func:`ancillary_h` takes, and a sum past the float range is a
+    ValueError.  Independent of the Touchard form by construction.
     """
-    if m < 0:
-        raise ValueError(f"order m must be non-negative, got {m}")
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"x must be finite and non-negative, got {x}")
+    m = integer_arg("order m", m, 0, H_MAX_ORDER)
+    x = real_arg("x", x, 0.0, math.inf, open_hi=True)
     n_max = max(200, math.ceil(x + m + 12.0 * math.sqrt(x + m) + 50.0))
     total = 0.0
     weight = 1.0  # x^n / n!
@@ -145,10 +167,8 @@ def poisson_table(g: float, tol: float) -> tuple[int, list[float], float]:
     mode summed against the weights, at most (4 sqrt(g + 1) + 2) 2^-53.
     A load outside [0, G_MAX] is a ValueError.
     """
-    if not 0.0 <= g <= G_MAX:
-        raise ValueError(f"g must be finite and in [0, {G_MAX:g}], got {g}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    g = real_arg("g", g, 0.0, G_MAX)
+    tol = real_arg("tol", tol, 0.0, math.inf, open_lo=True, open_hi=True)
     m = int(g)
     # P[N = m] only places the cut-offs, so its log-domain rounding is
     # harmless: the weights below are relative to the mode's

@@ -29,6 +29,7 @@ from .kernels import (
     H_MAX_ORDER,
     integer_arg,
     poisson_table,
+    real_arg,
     touchard_over_x,
 )
 
@@ -49,19 +50,14 @@ _THROUGHPUT_WEIGHTS = tuple(
 _SUBNORMAL_STEP = 2.0**-1074
 
 
-def _check_uplink(g: float, k: object, eps_u: float) -> int:
-    """The one check of (g, k, eps_u); returns k as an ``int``."""
-    if not 0.0 <= g <= G_MAX:
-        raise ValueError(f"g must be finite and in [0, {G_MAX:g}], got {g}")
-    k = integer_arg("k", k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not (0.0 <= eps_u <= 1.0):
-        raise ValueError(f"eps_u must be in [0, 1], got {eps_u}")
-    return k
+def _check_uplink(g, k, eps_u) -> tuple[float, int, float]:
+    """The one check of (g, k, eps_u): g in [0, G_MAX], an integer k >= 1
+    and eps_u in [0, 1], returned as ``(float, int, float)``."""
+    return (real_arg("g", g, 0.0, G_MAX), integer_arg("k", k, 1),
+            real_arg("eps_u", eps_u, 0.0, 1.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SystemParams:
     """One complete system configuration.
 
@@ -70,6 +66,7 @@ class SystemParams:
     eps_u: uplink per-packet erasure probability.
     eps_d: downlink per-packet erasure probability.
     delta: probability a decoding relay forwards to the sink.
+    Stored as Python ``float``s and an ``int``, checked in one pass.
     """
 
     g: float
@@ -78,13 +75,14 @@ class SystemParams:
     eps_d: float
     delta: float
 
-    def __post_init__(self) -> None:
-        k = _check_uplink(self.g, self.k, self.eps_u)
-        object.__setattr__(self, "k", k)
-        for name in ("eps_d", "delta"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+    def __init__(self, g, k, eps_u, eps_d, delta) -> None:
+        g, k, eps_u = _check_uplink(g, k, eps_u)
+        put = object.__setattr__
+        put(self, "g", g)
+        put(self, "k", k)
+        put(self, "eps_u", eps_u)
+        put(self, "eps_d", real_arg("eps_d", eps_d, 0.0, 1.0))
+        put(self, "delta", real_arg("delta", delta, 0.0, 1.0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,7 +120,7 @@ def throughput_sa(g: float, eps_u: float) -> ThroughputResult:
     Poisson-averaging the single-survivor probability collapses to
     g (1-eps_u) e^(-g (1-eps_u)).
     """
-    _check_uplink(g, 1, eps_u)
+    g, _, eps_u = _check_uplink(g, 1, eps_u)
     ge = g * (1.0 - eps_u)
     return ThroughputResult(ge * math.exp(-ge), "closed_form", terms_used=1)
 
@@ -177,7 +175,7 @@ def bound_series(g: float, k: int, eps_u: float) -> ThroughputResult:
     S~ = sum_n P[N=n] * (1 - (1-p_n)^k), valid for every eps_u including
     the endpoints 0 and 1.
     """
-    k = _check_uplink(g, k, eps_u)
+    g, k, eps_u = _check_uplink(g, k, eps_u)
     weights, p, err = _series_table(g, k, eps_u)
     total = 0.0
     for w, p_n in zip(weights, p):
@@ -192,38 +190,43 @@ def _closed_domain(k: int) -> None:
 
 def _kernel_terms(
     g: float, eps_u: float, weights: tuple[float, ...], r: float
-) -> tuple[list[float], float]:
+) -> tuple[list[float], float, float]:
     """w_m g e^(x_m - g) T_m(x_m) / x_m, x_m = g eps_u^m, for m = 1..k,
-    and the sum of their magnitudes times r^m.
+    the sum of their magnitudes times r^m, and the error of the factors
+    e^(x_m - g) that are subnormal (only above g of about 708): up to
+    2^-1074 each, times |w_m g T_m(x_m) / x_m| r^m (below 2e-34 in all).
 
     e^-g H_m(x) = e^(x-g) T_m(x), T_m the Touchard polynomial; the
     eps_u^-m of each closed-form term cancels against x_m, leaving these
     times r^m (see the callers), and x_m <= g keeps every factor finite.
     """
     out = []
-    size, power = 0.0, 1.0
+    size, power, lost = 0.0, 1.0, 0.0
     for m, c in enumerate(weights, 1):
         p = eps_u**m
         x = g * p
         # p - 1 is exact for p >= 1/2: the exponent keeps one rounding
-        t = (c * touchard_over_x(m, x) * g
-             * math.exp(g * (p - 1.0) if p >= 0.5 else x - g))
+        e = math.exp(g * (p - 1.0) if p >= 0.5 else x - g)
+        a = c * touchard_over_x(m, x) * g
+        t = a * e
         power *= r
         size += abs(t) * power
+        if e < 2.0**-1022:  # subnormal or 0
+            lost += abs(a) * power
         out.append(t)
-    return out, size
+    return out, size, lost * _SUBNORMAL_STEP
 
 
-def _closed_sum(
-    coeffs: list[float], mant: float, exp2: int, g: float, k: int
-) -> tuple[float, float]:
+def _closed_sum(coeffs: list[float], mant: float, exp2: int, g: float,
+                k: int, lost: float) -> tuple[float, float]:
     """sum_m coeffs[m-1] r^m, r = mant 2^exp2 <= 1, and its error estimate.
 
     The terms alternate, so the rounding error scales with sum|t_m|:
     (k + g + 8) 2^-53 sum|t_m| covers the powers, the Horner evaluations
     and exp(x_m - g), whose argument's error grows with g.  Split off,
     the exponent keeps the powers normal, so a term loses at most ~2^-1075
-    a step, only if subnormal; (k+1)^2 2^-1074 covers that unless r = 0.
+    a step, only if subnormal; (k+1)^2 2^-1074 covers that unless r = 0,
+    and ``lost`` (from :func:`_kernel_terms`) the subnormal kernels.
     Every term is finite: |t_m| <= m C(k, m) T_m(g) < 1e290 for g <= G_MAX.
     """
     terms = [
@@ -232,7 +235,7 @@ def _closed_sum(
     size = sum(map(abs, terms))
     err = (k + g + 8) * _UNIT_ROUNDOFF * size
     if mant:
-        err += (k + 1) ** 2 * _SUBNORMAL_STEP
+        err += (k + 1) ** 2 * _SUBNORMAL_STEP + lost
     return math.fsum(terms), err
 
 
@@ -244,16 +247,17 @@ def _closed_curve(
     bounds every delta's (each |t_m| grows like delta^m)."""
     g, k, eps_u = params.g, params.k, params.eps_u
     r1 = (1.0 - eps_u) * (1.0 - params.eps_d)
-    coeffs, size = _kernel_terms(g, eps_u, _THROUGHPUT_WEIGHTS[k], r1)
+    coeffs, size, lost = _kernel_terms(g, eps_u, _THROUGHPUT_WEIGHTS[k], r1)
     # r = delta r1; a subnormal delta loses no bits
     mant_s, exp_s = math.frexp(r1)
 
     def at(delta: float) -> ThroughputResult:
         mant_d, exp_d = math.frexp(delta)
-        value, err = _closed_sum(coeffs, mant_d * mant_s, exp_d + exp_s, g, k)
+        value, err = _closed_sum(coeffs, mant_d * mant_s, exp_d + exp_s,
+                                 g, k, lost)
         return ThroughputResult(value, "closed_form", k, err)
 
-    return at, (k + g + 8) * _UNIT_ROUNDOFF * size
+    return at, (k + g + 8) * _UNIT_ROUNDOFF * size + lost
 
 
 def throughput_closed(params: SystemParams) -> ThroughputResult:
@@ -286,10 +290,10 @@ def bound_closed(g: float, k: int, eps_u: float) -> ThroughputResult:
     Like :func:`throughput_closed`, it takes any eps_u in [0, 1] and k up
     to H_MAX_ORDER.
     """
-    k = _check_uplink(g, k, eps_u)
+    g, k, eps_u = _check_uplink(g, k, eps_u)
     _closed_domain(k)
-    coeffs, _ = _kernel_terms(g, eps_u, _BOUND_WEIGHTS[k], 1.0 - eps_u)
-    s, err = _closed_sum(coeffs, *math.frexp(1.0 - eps_u), g, k)
+    coeffs, _, lost = _kernel_terms(g, eps_u, _BOUND_WEIGHTS[k], 1.0 - eps_u)
+    s, err = _closed_sum(coeffs, *math.frexp(1.0 - eps_u), g, k, lost)
     return ThroughputResult(0.0 - s, "closed_form", k + 1, err)  # no -0.0
 
 
@@ -321,7 +325,7 @@ def bound(g: float, k: int, eps_u: float) -> ThroughputResult:
     Like every bound function, it takes g in [0, G_MAX], an integer
     (not bool) k >= 1 and eps_u in [0, 1], else raises ValueError.
     """
-    k = _check_uplink(g, k, eps_u)
+    g, k, eps_u = _check_uplink(g, k, eps_u)
     if k <= H_MAX_ORDER:
         closed = bound_closed(g, k, eps_u)
         if closed.est_abs_error <= _DISPATCH_TOL:
@@ -331,9 +335,7 @@ def bound(g: float, k: int, eps_u: float) -> ThroughputResult:
 
 def peak_load(eps_u: float) -> float:
     """Load maximizing each relay's individual decode rate: 1/(1-eps_u)."""
-    if not (0.0 <= eps_u < 1.0):
-        raise ValueError(f"eps_u must be in [0, 1), got {eps_u}")
-    return 1.0 / (1.0 - eps_u)
+    return 1.0 / (1.0 - real_arg("eps_u", eps_u, 0.0, 1.0, open_hi=True))
 
 
 def throughput_k2_at_peak_load(
@@ -346,14 +348,9 @@ def throughput_k2_at_peak_load(
 
     concave in delta, vanishing at delta = 0.
     """
-    if not (0.0 <= eps_u < 1.0):
-        raise ValueError(
-            f"eps_u must be in [0, 1) for a finite peak load, got {eps_u}"
-        )
-    if not (0.0 <= eps_d <= 1.0):
-        raise ValueError(f"eps_d must be in [0, 1], got {eps_d}")
-    if not (0.0 <= delta <= 1.0):
-        raise ValueError(f"delta must be in [0, 1], got {delta}")
+    eps_u = real_arg("eps_u", eps_u, 0.0, 1.0, open_hi=True)  # g finite
+    eps_d = real_arg("eps_d", eps_d, 0.0, 1.0)
+    delta = real_arg("delta", delta, 0.0, 1.0)
     a = delta * (1.0 - eps_d)
     c = (1.0 - eps_u + eps_u * eps_u) * math.exp(-eps_u)
     return (2.0 * a / math.e) * (1.0 - a * c)
@@ -365,13 +362,9 @@ def delta_star_k2(eps_u: float, eps_d: float) -> float:
     Stationarity of the quadratic gives
     min{1, e^eps_u / (2 (1-eps_d) (1 - eps_u + eps_u^2))}.
     """
-    if not (0.0 <= eps_u <= 1.0):
-        raise ValueError(f"eps_u must be in [0, 1], got {eps_u}")
-    if not (0.0 <= eps_d < 1.0):
-        raise ValueError(
-            f"the optimum is undefined at eps_d = 1 (throughput is "
-            f"identically zero); got eps_d={eps_d}"
-        )
+    eps_u = real_arg("eps_u", eps_u, 0.0, 1.0)
+    # at eps_d = 1 the throughput is identically zero: no optimum
+    eps_d = real_arg("eps_d", eps_d, 0.0, 1.0, open_hi=True)
     return min(
         1.0,
         math.exp(eps_u)
@@ -387,6 +380,7 @@ def s_star_k2(eps_u: float, eps_d: float) -> float:
     the quadratic evaluated at delta = 1 otherwise.
     """
     ds = delta_star_k2(eps_u, eps_d)
+    eps_u, eps_d = float(eps_u), float(eps_d)  # real, checked just above
     if ds < 1.0:
         return math.exp(-1.0 + eps_u) / (
             2.0 * (1.0 - eps_u + eps_u * eps_u)

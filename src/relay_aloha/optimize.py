@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import integer_arg
+from .kernels import G_MAX, integer_arg, real_arg
 from .model import (
     SystemParams,
     _delta_curve,
@@ -113,16 +113,16 @@ def optimize_delta(
     ``arg_tol``).  Every value is ``throughput`` at the same delta, bit
     for bit.
     """
-    if not (0.0 < arg_tol <= 0.1):
-        raise ValueError(f"arg_tol must be in (0, 0.1], got {arg_tol}")
-    curve = _delta_curve(SystemParams(g, k, eps_u, eps_d, 0.0))
+    arg_tol = real_arg("arg_tol", arg_tol, 0.0, 0.1, open_lo=True)
+    p = SystemParams(g, k, eps_u, eps_d, 0.0)
+    curve = _delta_curve(p)
     if (
-        k == 2
-        and eps_d < 1.0
-        and eps_u < 1.0
-        and math.isclose(g, peak_load(eps_u), rel_tol=1e-12)
+        p.k == 2
+        and p.eps_d < 1.0
+        and p.eps_u < 1.0
+        and math.isclose(p.g, peak_load(p.eps_u), rel_tol=1e-12)
     ):
-        ds = delta_star_k2(eps_u, eps_d)
+        ds = delta_star_k2(p.eps_u, p.eps_d)
         return OptimizationResult(
             ds, curve(ds).value, "closed_form_k2", 1, arg_tol
         )
@@ -145,10 +145,8 @@ def optimize_load(
     Hybrid grid: geometric spacing resolves the small-g region where the
     curve rises steeply, linear spacing covers the rest.
     """
-    if not (g_max > 0.0):
-        raise ValueError(f"g_max must be positive, got {g_max}")
-    if not (0.0 < arg_tol <= 0.1):
-        raise ValueError(f"arg_tol must be in (0, 0.1], got {arg_tol}")
+    g_max = real_arg("g_max", g_max, 0.0, G_MAX, open_lo=True)
+    arg_tol = real_arg("arg_tol", arg_tol, 0.0, 0.1, open_lo=True)
     half = LOAD_GRID_POINTS // 2
     geo = np.geomspace(g_max * 1e-4, g_max, half)
     lin = np.linspace(g_max / half, g_max, half)
@@ -174,17 +172,14 @@ def optimize_k(
     the load for every k.  Ties break toward fewer relays.  A
     non-integer or bool ``k_max`` is a ValueError.
     """
-    k_max = integer_arg("k_max", k_max)
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    g_eff = peak_load(eps_u) if g is None else g
-    if not (g_eff > 0.0):
-        raise ValueError(f"load must be positive, got {g_eff}")
+    k_max = integer_arg("k_max", k_max, 1)
+    g_eff = (peak_load(eps_u) if g is None
+             else real_arg("g", g, 0.0, G_MAX, open_lo=True))
     runs = [optimize_delta(g_eff, k, eps_u, eps_d, arg_tol)
             for k in range(1, k_max + 1)]
     per_k = tuple(r.value_star for r in runs)
     best = per_k.index(max(per_k))  # the first maximum: fewest relays
     return OptimizationResult(
         best + 1, per_k[best], "exhaustive_k",
-        sum(r.evaluations for r in runs), arg_tol, per_k=per_k,
+        sum(r.evaluations for r in runs), runs[0].arg_tol, per_k=per_k,
     )

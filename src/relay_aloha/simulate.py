@@ -71,8 +71,9 @@ class SimConfig:
     ``warmup_slots`` must be at least 1 in the full-system mode so the
     first measured slot can receive forwards from its predecessor.  In
     bound mode only the uplink is played and delta/eps_d are ignored.
-    The four integer fields are stored as ``int``; a float or bool there
-    is a ValueError.
+    The four integer fields are stored as ``int``, seed and stream id in
+    0..2^64-1; a float or bool there, or ``params`` not a
+    :class:`SystemParams`, is a ValueError.
     """
 
     params: SystemParams
@@ -83,27 +84,15 @@ class SimConfig:
     mode: str = MODE_FULL
 
     def __post_init__(self) -> None:
-        for name in ("n_slots", "warmup_slots", "seed", "stream_id"):
-            object.__setattr__(
-                self, name, integer_arg(name, getattr(self, name))
-            )
-        if self.n_slots < 1:
-            raise ValueError(f"n_slots must be >= 1, got {self.n_slots}")
-        if self.warmup_slots < 0:
-            raise ValueError(
-                f"warmup_slots must be >= 0, got {self.warmup_slots}"
-            )
-        if self.mode == MODE_FULL and self.warmup_slots < 1:
-            raise ValueError(
-                "full_system mode needs warmup_slots >= 1: the first "
-                "measured slot must have a predecessor to forward from"
-            )
+        if not isinstance(self.params, SystemParams):
+            raise ValueError(f"params must be a SystemParams: {self.params!r}")
         if self.mode not in (MODE_FULL, MODE_BOUND):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not (0 <= self.seed <= _MASK64):
-            raise ValueError("seed must fit in 64 unsigned bits")
-        if not (0 <= self.stream_id <= _MASK64):
-            raise ValueError("stream_id must fit in 64 unsigned bits")
+        w = 1 if self.mode == MODE_FULL else 0
+        for name, lo, hi in (("n_slots", 1, None), ("warmup_slots", w, None),
+                             ("seed", 0, _MASK64), ("stream_id", 0, _MASK64)):
+            object.__setattr__(
+                self, name, integer_arg(name, getattr(self, name), lo, hi))
 
 
 @dataclass(frozen=True)
@@ -159,10 +148,11 @@ def rng_substream(seed: int, stream_id: int = 0) -> np.random.Generator:
 
     The pair forms the 128-bit Philox key, so distinct stream ids are
     distinct counter-based generators rather than offsets of one stream.
+    Each must be an integer in 0..2^64-1, else ValueError.
     """
-    if not (0 <= seed <= _MASK64) or not (0 <= stream_id <= _MASK64):
-        raise ValueError("seed and stream_id must fit in 64 unsigned bits")
-    key = np.array([seed, stream_id], dtype=np.uint64)
+    key = np.array([integer_arg("seed", seed, 0, _MASK64),
+                    integer_arg("stream_id", stream_id, 0, _MASK64)],
+                   dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -161,11 +161,10 @@ def _evaluate(
             seed=sim.seed, stream_id=stream_id, mode=MODE_FULL,
         ))
         return stats.throughput_estimate, stats.ci95_halfwidth
-    if out in ("delta_star", "s_star"):
-        r = optimize_delta(pt.g, pt.k, pt.eps_u, pt.eps_d)
-        return (float(r.arg_star) if out == "delta_star"
-                else r.value_star), 0.0
-    raise ValueError(f"unknown output {out!r}")
+    # "delta_star" or "s_star": SweepSpec admits no other output
+    r = optimize_delta(pt.g, pt.k, pt.eps_u, pt.eps_d)
+    return (float(r.arg_star) if out == "delta_star"
+            else r.value_star), 0.0
 
 
 # --------------------------------------------------------------------------

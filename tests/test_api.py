@@ -1,6 +1,35 @@
 import inspect
+import math
+
+import numpy as np
+import pytest
 
 import relay_aloha
+import relay_aloha.cli  # noqa: F401  (the walk below reads relay_aloha.cli)
+from relay_aloha import (
+    SimConfig,
+    SweepSpec,
+    SystemParams,
+    ancillary_h,
+    ancillary_h_oracle,
+    bound,
+    bound_closed,
+    bound_series,
+    delta_star_k2,
+    optimize_delta,
+    optimize_k,
+    optimize_load,
+    peak_load,
+    rng_substream,
+    run_sweep,
+    s_star_k2,
+    simulate,
+    throughput,
+    throughput_k2_at_peak_load,
+    throughput_sa,
+)
+from relay_aloha.kernels import poisson_table
+from relay_aloha.sweep import AXES
 
 
 def test_every_exported_name_imports():
@@ -42,3 +71,96 @@ def test_no_public_callable_takes_a_cache():
             for knob in ("cache", "trunc", "use_k2_shortcut"):
                 assert knob not in params, f"{module.__name__}.{name}"
     assert seen > 40
+
+
+# Every public entry point that takes numbers, with valid positional
+# arguments; SimConfig's first argument is its SystemParams.
+P = SystemParams(2.0, 2, 0.3, 0.3, 0.5)
+ENTRY_POINTS = {
+    "SystemParams": (SystemParams, (2.0, 2, 0.3, 0.3, 0.5)),
+    "bound": (bound, (2.0, 2, 0.3)),
+    "bound_closed": (bound_closed, (2.0, 2, 0.3)),
+    "bound_series": (bound_series, (2.0, 2, 0.3)),
+    "throughput_sa": (throughput_sa, (2.0, 0.3)),
+    "peak_load": (peak_load, (0.3,)),
+    "throughput_k2_at_peak_load": (throughput_k2_at_peak_load,
+                                   (0.3, 0.3, 0.5)),
+    "delta_star_k2": (delta_star_k2, (0.3, 0.3)),
+    "s_star_k2": (s_star_k2, (0.3, 0.3)),
+    "optimize_delta": (optimize_delta, (2.0, 2, 0.3, 0.3, 1e-3)),
+    "optimize_load": (optimize_load, (2, 0.3, 0.3, 0.5, 4.0, 1e-3)),
+    "optimize_k": (optimize_k, (0.3, 0.3, 3, 1e-3, 2.0)),
+    "SimConfig": (SimConfig, (P, 100, 10, 0, 0)),
+    "rng_substream": (rng_substream, (0, 0)),
+    "ancillary_h": (ancillary_h, (2, 1.0)),
+    "ancillary_h_oracle": (ancillary_h_oracle, (2, 1.0)),
+    "poisson_table": (poisson_table, (2.0, 1e-14)),
+}
+NOT_NUMBERS = ("1", None, 1j, True, math.nan)
+
+
+@pytest.mark.parametrize("name,i", [
+    (name, i) for name, (_, args) in ENTRY_POINTS.items()
+    for i in range(len(args))
+])
+def test_a_non_number_is_a_domain_error(name, i):
+    fn, args = ENTRY_POINTS[name]
+    for bad in NOT_NUMBERS:
+        if (name, i, bad) == ("optimize_k", 4, None):
+            continue  # g=None is the peak-load rule
+        with pytest.raises(ValueError):
+            fn(*args[:i], bad, *args[i + 1:])
+
+
+@pytest.mark.parametrize("axis", AXES)
+@pytest.mark.parametrize("values", [("1", "2"), (None,), (1j,), (True,),
+                                    (math.nan,)])
+def test_a_sweep_over_non_numbers_fills_error_cells(axis, values):
+    rows = run_sweep(SweepSpec(axis, values, P, ("analytic", "bound")))
+    assert len(rows) == len(values)
+    for row in rows:
+        assert row["error"]
+        assert row.get("analytic", "") == row.get("bound", "") == ""
+
+
+def _throughput(*args):
+    return throughput(SystemParams(*args))
+
+
+def _simulate(*args):
+    return simulate(SimConfig(SystemParams(*args[:5]), *args[5:]))
+
+
+# (entry point, arguments): floats become numpy floats, ints np.int64
+NUMPY_CASES = [
+    (SystemParams, (2.0, 8, 0.3, 0.3, 0.5)),
+    (_throughput, (2.0, 8, 0.3, 0.3, 0.5)),
+    (_throughput, (2.0, 25, 0.3, 0.3, 0.5)),
+    (bound, (2.0, 25, 0.3)),
+    (bound_closed, (2.0, 8, 0.3)),
+    (bound_series, (2.0, 8, 0.3)),
+    (throughput_sa, (2.0, 0.3)),
+    (peak_load, (0.3,)),
+    (throughput_k2_at_peak_load, (0.3, 0.2, 0.7)),
+    (delta_star_k2, (0.3, 0.2)),
+    (s_star_k2, (0.3, 0.2)),
+    (s_star_k2, (0.9, 0.1)),
+    (optimize_delta, (2.0, 3, 0.3, 0.3, 1e-3)),
+    (optimize_load, (2, 0.3, 0.3, 0.5, 4.0, 1e-2)),
+    (optimize_k, (0.3, 0.3, 3, 1e-2, 2.0)),
+    (ancillary_h, (3, 1.5)),
+    (ancillary_h_oracle, (3, 1.5)),
+    (poisson_table, (2.0, 1e-14)),
+    (_simulate, (2.0, 3, 0.3, 0.3, 0.5, 2000, 10, 7, 1)),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("fn,args", NUMPY_CASES)
+def test_numpy_scalars_compute_like_python_numbers(fn, args, dtype):
+    as_numpy = [np.int64(a) if type(a) is int else dtype(a) for a in args]
+    as_python = [a.item() for a in as_numpy]
+    # repr shows every bit of a float, and names a numpy scalar "np."
+    result = repr(fn(*as_numpy))
+    assert result == repr(fn(*as_python))
+    assert "np." not in result

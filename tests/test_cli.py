@@ -41,6 +41,14 @@ class TestEval:
         assert rc["method"] == "closed_form"
         assert rs["method"] == "series"
 
+    def test_out_writes_what_stdout_gets(self, capsys, tmp_path):
+        argv = ["eval", "--g", "2", "--k", "3", "--eps-u", "0.4",
+                "--eps-d", "0.2", "--delta", "0.7"]
+        code, out, _ = run_cli(capsys, *argv)
+        path = tmp_path / "eval.csv"
+        assert run_cli(capsys, *argv, "--out", str(path)) == (0, "", "")
+        assert code == 0 and path.read_text() == out
+
     def test_out_of_range_flag_is_a_domain_error(self, capsys):
         code, _, err = run_cli(
             capsys, "eval", "--g", "1", "--k", "1",

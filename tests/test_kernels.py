@@ -101,6 +101,10 @@ class TestAncillaryH:
         for m, x in [(0, 710.0), (3, 700.0), (2.5, 1.0), (True, 1.0)]:
             with pytest.raises(ValueError):
                 ancillary_h(m, x)
+        # the oracle takes the same orders: no OverflowError from n ** m
+        for m, x in [(200, 1.0), (2.5, 1.0), (True, 1.0)]:
+            with pytest.raises(ValueError, match="order m"):
+                ancillary_h_oracle(m, x)
 
     def test_order_above_the_table_raises(self):
         assert ancillary_h(H_MAX_ORDER, 1.0) == pytest.approx(

@@ -72,6 +72,24 @@ class TestSystemParams:
         with pytest.raises(ValueError, match="k must be >= 1"):
             SystemParams(1.0, k, 0.3, 0.3, 1.0)
 
+    @pytest.mark.parametrize("field", ["eps_d", "delta"])
+    @pytest.mark.parametrize("v", [-0.1, 1.5, math.inf])
+    def test_downlink_probability_out_of_range(self, field, v):
+        kw = dict(g=1.0, k=2, eps_u=0.3, eps_d=0.3, delta=0.5)
+        kw[field] = v
+        with pytest.raises(ValueError, match=f"{field} must be finite and in"):
+            SystemParams(**kw)
+
+    def test_fields_are_python_numbers_in_slots(self):
+        p = SystemParams(np.float32(1.5), np.int64(2), 0.25, 1, np.float64(0.5))
+        assert [type(v) for v in (p.g, p.k, p.eps_u, p.eps_d, p.delta)] == [
+            float, int, float, float, float]
+        assert not hasattr(p, "__dict__")
+        with pytest.raises(AttributeError):
+            p.g = 2.0
+        assert p == SystemParams(1.5, 2, 0.25, 1.0, 0.5)
+        assert hash(p) == hash(SystemParams(1.5, 2, 0.25, 1.0, 0.5))
+
 
 class TestDomainErrors:
     @pytest.mark.parametrize(
@@ -543,6 +561,20 @@ class TestClosedFormErrorEstimate:
             assert float(bound_closed_decimal(g, k, eu)) == pytest.approx(
                 bound_series(g, k, eu).value, abs=1e-13
             )
+
+    def test_subnormal_kernels_above_g_708(self):
+        # every e^(x_m - g) is subnormal or 0 here; at 3000 digits the
+        # reference resolves the rounding of values near 1e-311
+        p = (735.13, 32, 0.01464, 0.3114, 0.3458)
+        ref = closed_form_decimal(*p, 3000)
+        for r in (throughput_closed(SystemParams(*p)),
+                  throughput(SystemParams(*p))):
+            assert r.method == "closed_form"
+            assert_within_estimate(r, ref, 3000)
+        ref = bound_closed_decimal(*p[:3], 3000)
+        for r in (bound_closed(*p[:3]), bound(*p[:3])):
+            assert r.method == "closed_form"
+            assert_within_estimate(r, ref, 3000)
 
     def test_exact_zero_has_no_error(self):
         r = throughput(SystemParams(1.3, 5, 0.3, 0.2, 0.0))

@@ -147,6 +147,11 @@ class TestSimulateBasics:
             SimConfig(params=p, n_slots=10, mode="nope")
         with pytest.raises(ValueError):
             SimConfig(params=p, n_slots=10, seed=-1)
+        with pytest.raises(ValueError, match="warmup_slots must be >= 0"):
+            SimConfig(params=p, n_slots=10, warmup_slots=-1, mode=MODE_BOUND)
+        for stream_id in (-1, 1 << 64):
+            with pytest.raises(ValueError, match="stream_id must be in"):
+                SimConfig(params=p, n_slots=10, stream_id=stream_id)
 
     @pytest.mark.parametrize(
         "field", ["n_slots", "warmup_slots", "seed", "stream_id"]
@@ -293,6 +298,16 @@ class TestBoundMode:
         assert st.total_forwards == 0
         assert st.total_sink_arrivals == 0
         assert st.sink_collision_rate == 0.0
+
+    def test_trace_route(self):
+        cfg = self._cfg(delta=1.0, eps_d=0.0, n_slots=2000, warmup_slots=5)
+        st, outcomes = simulate_trace(cfg)
+        assert st.total_forwards == st.total_sink_arrivals == 0
+        assert not any(o.sink_arrivals or any(o.relays_forwarding)
+                       for o in outcomes)
+        union_slots = sum(any(o.relays_decoded) for o in outcomes[5:])
+        assert 0 < st.delivered_packets == union_slots
+        assert st.uplink_union_rate == st.throughput_estimate
 
 
 class TestStatsShape:
