@@ -23,7 +23,6 @@ from .model import (
     bound_closed,
     bound_series,
     delta_star_k2,
-    p_decode_uplink,
     peak_load,
     s_star_k2,
     throughput,
@@ -87,7 +86,6 @@ __all__ = [
     "optimize_delta",
     "optimize_k",
     "optimize_load",
-    "p_decode_uplink",
     "peak_load",
     "reproduce_figure",
     "rng_substream",

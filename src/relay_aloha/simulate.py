@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import integer_arg, poisson_table
-from .model import SystemParams, p_decode_uplink
+from .kernels import integer_arg
+from .model import SystemParams, _decode_table
 
 MODE_FULL = "full_system"
 MODE_BOUND = "bound_uplink_only"
@@ -160,16 +160,13 @@ def _occupancy(g: float, eps_u: float) -> tuple[np.ndarray, np.ndarray]:
     """Inverse-CDF table of the Poisson(g) slot occupancy, and the decode
     probability of each occupancy class.
 
-    Class i is the count lo + i of ``poisson_table(g, 2^-53)``, so
+    Class i is the count lo + i of ``_decode_table(g, eps_u, 2^-53)``, so
     ``searchsorted(cdf, u, side="right")`` maps a uniform u to a class;
     the first class takes the omitted lower tail and the last the upper.
     The CDF never decreases and ends at most at 1.
     """
-    lo, weights, _ = poisson_table(g, _TAIL)
-    cdf = np.minimum(np.cumsum(weights[:-1]), 1.0)
-    p_dec = np.array([p_decode_uplink(n, eps_u)
-                      for n in range(lo, lo + len(weights))])
-    return cdf, p_dec
+    _, weights, p_dec, _ = _decode_table(g, eps_u, _TAIL)
+    return np.minimum(np.cumsum(weights[:-1]), 1.0), np.array(p_dec)
 
 
 class _BatchMeans:
@@ -235,18 +232,25 @@ def _stats(config: SimConfig, batches: _BatchMeans, decode_hits: np.ndarray,
     )
 
 
+def _start(config: SimConfig) -> tuple[SystemParams, int, int, bool,
+                                      np.random.Generator]:
+    """(params, warm-up slots, all slots, full mode?, generator) of a run;
+    ``config`` must be a SimConfig, else ValueError."""
+    if not isinstance(config, SimConfig):
+        raise ValueError(f"config must be a SimConfig, got {config!r}")
+    w = config.warmup_slots
+    return (config.params, w, w + config.n_slots, config.mode == MODE_FULL,
+            rng_substream(config.seed, config.stream_id))
+
+
 def simulate(config: SimConfig) -> SimStats:
     """Run the protocol and estimate throughput (estimation route).
 
     Plays the slots in chunks of ``_CHUNK`` in the draw order named by
     :data:`RNG_LAYOUT`; memory does not grow with ``n_slots``.
     """
-    p = config.params
+    p, w, total_slots, full, rng = _start(config)
     k = p.k
-    w = config.warmup_slots
-    total_slots = w + config.n_slots
-    full = config.mode == MODE_FULL
-    rng = rng_substream(config.seed, config.stream_id)
 
     cdf, p_dec = _occupancy(p.g, p.eps_u)
     tables = [p_dec]
@@ -314,12 +318,8 @@ def simulate_trace(config: SimConfig) -> tuple[SimStats, list[SlotOutcome]]:
     :func:`simulate` at equal seeds even though the law is the same.
     Intended for small runs; memory grows with k * total slots.
     """
-    p = config.params
+    p, w, total_slots, full, rng = _start(config)
     k = p.k
-    w = config.warmup_slots
-    total_slots = w + config.n_slots
-    full = config.mode == MODE_FULL
-    rng = rng_substream(config.seed, config.stream_id)
 
     n_tx = rng.poisson(p.g, total_slots)
     # Survivor counts per relay: binomial thinning of the offered batch.

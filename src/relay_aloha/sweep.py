@@ -82,7 +82,12 @@ class SweepSpec:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
         if not self.values:
             raise ValueError("values must be non-empty")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
+        try:
+            ordered = not any(b <= a for a, b in zip(self.values,
+                                                     self.values[1:]))
+        except TypeError:  # values that do not compare
+            ordered = False
+        if not ordered:
             raise ValueError("values must be strictly increasing")
         if not self.outputs:
             raise ValueError("outputs must be non-empty")

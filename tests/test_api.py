@@ -24,9 +24,12 @@ from relay_aloha import (
     run_sweep,
     s_star_k2,
     simulate,
+    simulate_trace,
     throughput,
+    throughput_closed,
     throughput_k2_at_peak_load,
     throughput_sa,
+    throughput_series,
 )
 from relay_aloha.kernels import poisson_table
 from relay_aloha.sweep import AXES
@@ -42,7 +45,7 @@ def test_every_exported_name_imports():
 
 REMOVED = ("SeriesTruncation", "default_truncation", "poisson_pmf",
            "log_binomial", "q_success_downlink_arrival", "EPS_FLOOR",
-           "K_CLOSED_MAX")
+           "K_CLOSED_MAX", "p_decode_uplink")
 
 
 def test_removed_names_are_gone():
@@ -121,6 +124,23 @@ def test_a_sweep_over_non_numbers_fills_error_cells(axis, values):
     for row in rows:
         assert row["error"]
         assert row.get("analytic", "") == row.get("bound", "") == ""
+
+
+@pytest.mark.parametrize("fn", [throughput, throughput_closed,
+                                throughput_series, simulate, simulate_trace])
+@pytest.mark.parametrize("bad", [(2.0, 8, 0.3, 0.3, 0.5), (P, 100), None,
+                                 "1"])
+def test_a_wrong_object_is_a_domain_error(fn, bad):
+    # the throughput functions take a SystemParams, the simulators a
+    # SimConfig; nothing else reaches an attribute lookup
+    with pytest.raises(ValueError):
+        fn(bad)
+
+
+@pytest.mark.parametrize("values", [(1.0, "2"), (None, None)])
+def test_sweep_values_that_do_not_compare_are_a_domain_error(values):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        SweepSpec("g", values, P)
 
 
 def _throughput(*args):

@@ -4,7 +4,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from relay_aloha import (
@@ -14,7 +14,6 @@ from relay_aloha import (
     bound_closed,
     bound_series,
     delta_star_k2,
-    p_decode_uplink,
     peak_load,
     s_star_k2,
     throughput,
@@ -24,6 +23,7 @@ from relay_aloha import (
     throughput_series,
 )
 from relay_aloha.kernels import H_MAX_ORDER
+from relay_aloha.model import _decode_table
 
 eps_floats = st.floats(min_value=0.0, max_value=1.0)
 load_floats = st.floats(min_value=0.0, max_value=8.0)
@@ -138,24 +138,32 @@ class TestDomainErrors:
             assert 0.0 <= r.value <= r.est_abs_error < 1e-10
 
 
+def p_decode(n, eps):
+    """P[a relay decodes a slot of n packets], read from the decode
+    table at load n, which holds its mode n."""
+    lo, _, p, _ = _decode_table(float(n), eps, 1e-14)
+    return p[n - lo]
+
+
 class TestUplinkDecoding:
     def test_lone_clean_packet_always_decodes(self):
-        assert p_decode_uplink(1, 0.0) == 1.0
+        assert p_decode(1, 0.0) == 1.0
 
     def test_empty_slot_never_decodes(self):
         for eps in (0.0, 0.3, 1.0):
-            assert p_decode_uplink(0, eps) == 0.0
+            assert p_decode(0, eps) == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("eps", [0.0, 0.2, 0.5, 0.9, 1.0])
     def test_matches_pattern_enumeration(self, n, eps):
-        assert p_decode_uplink(n, eps) == pytest.approx(
+        assert p_decode(n, eps) == pytest.approx(
             enumerate_single_survivor(n, eps), abs=1e-14
         )
 
     @given(n=st.integers(min_value=0, max_value=200), eps=eps_floats)
     def test_is_a_probability(self, n, eps):
-        assert 0.0 <= p_decode_uplink(n, eps) <= 1.0
+        assert all(0.0 <= p <= 1.0
+                   for p in _decode_table(float(n), eps, 1e-14)[2])
 
 
 class TestSingleLinkThroughput:
@@ -651,3 +659,49 @@ class TestErrorBoundedDispatch:
             if r.method == "closed_form":
                 assert r.est_abs_error <= 1.000001e-12
             assert_within_estimate(r, ref, 40)
+
+
+class TestLonePacketAboveG700:
+    """At eps_u = 0 a relay decodes exactly the slots that hold one
+    packet, so S = g e^-g k q (1-q)^(k-1) with q = delta (1-eps_d), and
+    S~ = g e^-g.  Above g = 700, e^-g is subnormal; each result must
+    still lie within its estimate of these values."""
+
+    @example(g=715.6910152444545, k=32, ed=0.0, d=1.0)
+    @example(g=718.8, k=27, ed=0.0, d=1.0)
+    @given(
+        g=st.floats(min_value=700.0, max_value=750.0),
+        k=st.integers(min_value=1, max_value=H_MAX_ORDER),
+        ed=st.one_of(st.just(0.0), eps_floats),
+        d=st.one_of(st.just(1.0), eps_floats),
+    )
+    def test_within_the_estimate(self, g, k, ed, d):
+        with localcontext() as ctx:
+            ctx.prec = 400
+            lone = Decimal(g) * (-Decimal(g)).exp()
+            q = Decimal(d) * (1 - Decimal(ed))
+            s = lone * k * q * ((1 - q) ** (k - 1) if k > 1 else 1)
+        assert_within_estimate(
+            throughput(SystemParams(g, k, 0.0, ed, d)), s, 400)
+        assert_within_estimate(bound(g, k, 0.0), lone, 400)
+
+
+class TestOneDispatchRule:
+    """throughput and bound return, field for field, what the explicit
+    function of the path their ``method`` names returns."""
+
+    @given(
+        g=st.floats(min_value=0.0, max_value=750.0),
+        k=st.integers(min_value=1, max_value=40),
+        eu=st.one_of(st.sampled_from([0.0, 1.0]), eps_floats),
+        ed=eps_floats,
+        d=eps_floats,
+    )
+    def test_a_result_is_its_named_path(self, g, k, eu, ed, d):
+        p = SystemParams(g, k, eu, ed, d)
+        paths = {"closed_form": (throughput_closed, bound_closed),
+                 "series": (throughput_series, bound_series)}
+        r = throughput(p)
+        assert repr(r) == repr(paths[r.method][0](p))
+        r = bound(g, k, eu)
+        assert repr(r) == repr(paths[r.method][1](g, k, eu))

@@ -12,7 +12,6 @@ from relay_aloha import (
     SimConfig,
     SystemParams,
     bound_series,
-    p_decode_uplink,
     peak_load,
     rng_substream,
     simulate,
@@ -22,6 +21,7 @@ from relay_aloha import (
     throughput_series,
 )
 from relay_aloha.kernels import poisson_table
+from relay_aloha.model import _decode_table
 from relay_aloha.simulate import _CHUNK, _TAIL, _BatchMeans, _occupancy
 
 
@@ -445,7 +445,9 @@ class TestStreaming:
         assert cdf.size + 1 == p_dec.size == len(weights)
         assert np.all(np.diff(cdf) >= 0.0)
         assert cdf[0] >= 0.0 and cdf[-1] <= 1.0
-        assert p_dec[0] == p_decode_uplink(lo, 0.3)
+        # the decode probabilities are the series' own, bit for bit
+        assert p_dec.tolist() == _decode_table(g, 0.3, _TAIL)[2]
+        assert p_dec[0] == (lo * (1.0 - 0.3) * 0.3 ** (lo - 1) if lo else 0.0)
 
     def test_a_million_packets_per_slot(self):
         p = SystemParams(1e6, 4, 0.3, 0.3, 0.5)
