@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .kernels import (
     G_MAX,
-    NonConvergenceError,
     ancillary_h,
     ancillary_h_oracle,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "G_MAX",
     "MODE_BOUND",
     "MODE_FULL",
-    "NonConvergenceError",
     "OptimizationResult",
     "RNG_ALGORITHM",
     "RNG_LAYOUT",

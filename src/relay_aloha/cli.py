@@ -22,7 +22,6 @@ from .model import (
     throughput_series,
 )
 from .optimize import (
-    DEFAULT_ARG_TOL,
     DEFAULT_G_MAX,
     DEFAULT_K_MAX,
     optimize_delta,
@@ -98,13 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize-delta",
                        help="best forwarding probability at fixed load")
     _add_params(p, "g k eps_u eps_d")
-    p.add_argument("--arg-tol", type=float, default=DEFAULT_ARG_TOL)
     _add_out(p)
 
     p = sub.add_parser("optimize-load", help="best channel load")
     _add_params(p, "k eps_u eps_d delta")
     p.add_argument("--g-max", type=float, default=DEFAULT_G_MAX)
-    p.add_argument("--arg-tol", type=float, default=DEFAULT_ARG_TOL)
     _add_out(p)
 
     p = sub.add_parser("optimize-k",
@@ -113,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=float, default=None,
                    help="fixed load; omit for the peak-load rule 1/(1-eps_u)")
     p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
-    p.add_argument("--arg-tol", type=float, default=DEFAULT_ARG_TOL)
     _add_out(p)
 
     p = sub.add_parser("simulate", help="slot-level Monte Carlo run")
@@ -188,22 +184,20 @@ def _emit_optimum(args, row, arg_name, r) -> None:
 
 
 def _cmd_optimize_delta(args) -> None:
-    r = optimize_delta(args.g, args.k, args.eps_u, args.eps_d, args.arg_tol)
+    r = optimize_delta(args.g, args.k, args.eps_u, args.eps_d)
     _emit_optimum(args, {"g": args.g, "k": args.k, "eps_u": args.eps_u,
                          "eps_d": args.eps_d}, "delta_star", r)
 
 
 def _cmd_optimize_load(args) -> None:
-    r = optimize_load(args.k, args.eps_u, args.eps_d, args.delta,
-                      args.g_max, args.arg_tol)
+    r = optimize_load(args.k, args.eps_u, args.eps_d, args.delta, args.g_max)
     _emit_optimum(args, {"k": args.k, "eps_u": args.eps_u,
                          "eps_d": args.eps_d, "delta": args.delta},
                   "g_star", r)
 
 
 def _cmd_optimize_k(args) -> None:
-    r = optimize_k(args.eps_u, args.eps_d, args.k_max, args.arg_tol,
-                   g=args.g)
+    r = optimize_k(args.eps_u, args.eps_d, args.k_max, g=args.g)
     _emit_optimum(args, {"eps_u": args.eps_u, "eps_d": args.eps_d,
                          "g_rule": "peak_load" if args.g is None else args.g},
                   "k_star", r)

@@ -90,14 +90,13 @@ class ThroughputResult:
     """A throughput value plus how it was obtained.
 
     ``est_abs_error`` is the rounding estimate (k + g + 8) 2^-53 sum|t_l|
-    over the alternating terms t_l for closed forms, the omitted Poisson
-    mass plus a rounding bound for truncated series, and the 95% CI
-    half-width for simulation estimates, so results from any path can be
-    compared on equal footing.
+    over the alternating terms t_l for closed forms, and the omitted
+    Poisson mass plus a rounding bound for truncated series, so results
+    from either path can be compared on equal footing.
     """
 
     value: float
-    method: str  # "closed_form" | "series" | "simulated"
+    method: str  # "closed_form" | "series"
     terms_used: int = 0
     est_abs_error: float = 0.0
 

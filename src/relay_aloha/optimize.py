@@ -11,7 +11,7 @@ golden section.  All searches are deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,7 +29,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 DELTA_GRID_POINTS = 101
 LOAD_GRID_POINTS = 400
-DEFAULT_ARG_TOL = 1e-6
+ARG_TOL = 1e-6
 DEFAULT_G_MAX = 8.0
 DEFAULT_K_MAX = 32
 _DELTA_GRID = tuple(i / (DELTA_GRID_POINTS - 1)
@@ -44,13 +44,15 @@ class OptimizationResult:
     ``value_star`` is the throughput there, evaluated through the
     analytic model.  ``per_k`` carries the per-relay-count optima when
     the search was over k, so each entry can be reproduced individually.
+    ``arg_tol`` is ``ARG_TOL``, the width every search refines its
+    argument to.
     """
 
     arg_star: float | int
     value_star: float
     method: str  # "closed_form_k2" | "grid_golden" | "exhaustive_k"
     evaluations: int
-    arg_tol: float
+    arg_tol: float = field(default=ARG_TOL, init=False)
     per_k: tuple[float, ...] | None = None
 
 
@@ -104,16 +106,14 @@ def optimize_delta(
     k: int,
     eps_u: float,
     eps_d: float,
-    arg_tol: float = DEFAULT_ARG_TOL,
 ) -> OptimizationResult:
     """Maximize throughput over the forwarding probability delta in [0, 1].
 
     For two relays at peak load the stationary point is known in closed
     form and is used directly (the generic search agrees within
-    ``arg_tol``).  Every value is ``throughput`` at the same delta, bit
+    ``ARG_TOL``).  Every value is ``throughput`` at the same delta, bit
     for bit.
     """
-    arg_tol = real_arg("arg_tol", arg_tol, 0.0, 0.1, open_lo=True)
     p = SystemParams(g, k, eps_u, eps_d, 0.0)
     curve = _delta_curve(p)
     if (
@@ -123,13 +123,11 @@ def optimize_delta(
         and math.isclose(p.g, peak_load(p.eps_u), rel_tol=1e-12)
     ):
         ds = delta_star_k2(p.eps_u, p.eps_d)
-        return OptimizationResult(
-            ds, curve(ds).value, "closed_form_k2", 1, arg_tol
-        )
+        return OptimizationResult(ds, curve(ds).value, "closed_form_k2", 1)
     d_star, v_star, evals = _grid_then_golden(
-        lambda d: curve(d).value, _DELTA_GRID, arg_tol
+        lambda d: curve(d).value, _DELTA_GRID, ARG_TOL
     )
-    return OptimizationResult(d_star, v_star, "grid_golden", evals, arg_tol)
+    return OptimizationResult(d_star, v_star, "grid_golden", evals)
 
 
 def optimize_load(
@@ -138,7 +136,6 @@ def optimize_load(
     eps_d: float,
     delta: float,
     g_max: float = DEFAULT_G_MAX,
-    arg_tol: float = DEFAULT_ARG_TOL,
 ) -> OptimizationResult:
     """Maximize throughput over the channel load g in (0, g_max].
 
@@ -146,7 +143,6 @@ def optimize_load(
     curve rises steeply, linear spacing covers the rest.
     """
     g_max = real_arg("g_max", g_max, 0.0, G_MAX, open_lo=True)
-    arg_tol = real_arg("arg_tol", arg_tol, 0.0, 0.1, open_lo=True)
     half = LOAD_GRID_POINTS // 2
     geo = np.geomspace(g_max * 1e-4, g_max, half)
     lin = np.linspace(g_max / half, g_max, half)
@@ -155,31 +151,31 @@ def optimize_load(
     def objective(g: float) -> float:
         return throughput(SystemParams(g, k, eps_u, eps_d, delta)).value
 
-    g_star, v_star, evals = _grid_then_golden(objective, grid, arg_tol)
-    return OptimizationResult(g_star, v_star, "grid_golden", evals, arg_tol)
+    g_star, v_star, evals = _grid_then_golden(objective, grid, ARG_TOL)
+    return OptimizationResult(g_star, v_star, "grid_golden", evals)
 
 
 def optimize_k(
     eps_u: float,
     eps_d: float,
     k_max: int = DEFAULT_K_MAX,
-    arg_tol: float = DEFAULT_ARG_TOL,
+    *,
     g: float | None = None,
 ) -> OptimizationResult:
     """Find the relay count whose delta-optimized throughput is largest.
 
     ``g=None`` applies the peak-load rule g = 1/(1-eps_u); a float fixes
-    the load for every k.  Ties break toward fewer relays.  A
-    non-integer or bool ``k_max`` is a ValueError.
+    the load for every k (``g`` is keyword-only).  Ties break toward
+    fewer relays.  A non-integer or bool ``k_max`` is a ValueError.
     """
     k_max = integer_arg("k_max", k_max, 1)
     g_eff = (peak_load(eps_u) if g is None
              else real_arg("g", g, 0.0, G_MAX, open_lo=True))
-    runs = [optimize_delta(g_eff, k, eps_u, eps_d, arg_tol)
+    runs = [optimize_delta(g_eff, k, eps_u, eps_d)
             for k in range(1, k_max + 1)]
     per_k = tuple(r.value_star for r in runs)
     best = per_k.index(max(per_k))  # the first maximum: fewest relays
     return OptimizationResult(
         best + 1, per_k[best], "exhaustive_k",
-        sum(r.evaluations for r in runs), runs[0].arg_tol, per_k=per_k,
+        sum(r.evaluations for r in runs), per_k=per_k,
     )

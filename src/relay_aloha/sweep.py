@@ -64,11 +64,11 @@ class SimOverrides:
 class SweepSpec:
     """One sweep request.
 
-    ``values`` must be strictly increasing.  The ``eps`` axis sets the
-    uplink and downlink erasure rates jointly.  The ``delta_star`` and
-    ``s_star`` outputs optimize the forwarding probability at each row's
-    own load and relay count (the row's ``delta`` field is ignored for
-    those two columns).
+    ``values`` must be strictly increasing, and no output may repeat
+    (its columns would).  The ``eps`` axis sets the uplink and downlink
+    erasure rates jointly.  The ``delta_star`` and ``s_star`` outputs
+    optimize the forwarding probability at each row's own load and relay
+    count (the row's ``delta`` field is ignored for those two columns).
     """
 
     axis: str
@@ -91,11 +91,13 @@ class SweepSpec:
             raise ValueError("values must be strictly increasing")
         if not self.outputs:
             raise ValueError("outputs must be non-empty")
-        for out in self.outputs:
+        for i, out in enumerate(self.outputs):
             if out not in OUTPUTS:
                 raise ValueError(
                     f"unknown output {out!r}; choices: {OUTPUTS}"
                 )
+            if out in self.outputs[:i]:
+                raise ValueError(f"output {out!r} is repeated")
 
 
 def columns_for(spec: SweepSpec) -> list[str]:

@@ -146,6 +146,19 @@ class TestOptimizers:
         assert row["k_star"] == "4"
         assert row["g_rule"] == "peak_load"
 
+    @pytest.mark.parametrize("cmd,flags", [
+        ("optimize-delta", ["--g", "1", "--k", "2", "--eps-u", "0",
+                            "--eps-d", "0"]),
+        ("optimize-load", ["--k", "2", "--eps-u", "0.3", "--eps-d", "0.3",
+                           "--delta", "1"]),
+        ("optimize-k", ["--eps-u", "0.3", "--eps-d", "0.3"]),
+    ])
+    def test_arg_tol_is_not_an_option(self, capsys, cmd, flags):
+        code, out, err = run_cli(capsys, cmd, *flags, "--arg-tol", "1e-3")
+        assert code == 2
+        assert out == ""
+        assert "--arg-tol" in err
+
     def test_optimize_load(self, capsys):
         code, out, _ = run_cli(
             capsys, "optimize-load", "--k", "1", "--eps-u", "0.5",
@@ -214,6 +227,15 @@ class TestSweepCommand:
             capsys, "sweep", "--axis", "g", "--values", "1,oops"
         )
         assert code == 1
+
+    def test_repeated_output_is_a_domain_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--axis", "g", "--values", "1,2", "--k", "2",
+            "--outputs", "analytic,analytic",
+        )
+        assert code == 1
+        assert out == ""
+        assert "repeated" in err
 
     def test_unknown_output(self, capsys):
         code, _, err = run_cli(

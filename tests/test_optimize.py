@@ -14,21 +14,22 @@ from relay_aloha import (
     throughput_series,
 )
 from relay_aloha.model import _delta_curve
-from relay_aloha.optimize import DEFAULT_ARG_TOL, _DELTA_GRID, _grid_then_golden
+from relay_aloha.optimize import ARG_TOL, _DELTA_GRID, _grid_then_golden
 
 
-def generic_delta_search(g, k, eps_u, eps_d, arg_tol=DEFAULT_ARG_TOL):
+def generic_delta_search(g, k, eps_u, eps_d):
     """optimize_delta's grid + golden section, without the k = 2
     peak-load shortcut: (delta*, S*, evaluations)."""
     curve = _delta_curve(SystemParams(g, k, eps_u, eps_d, 0.0))
-    return _grid_then_golden(lambda d: curve(d).value, _DELTA_GRID, arg_tol)
+    return _grid_then_golden(lambda d: curve(d).value, _DELTA_GRID, ARG_TOL)
 
 
 class TestOptimizeDelta:
     def test_single_relay_always_forwards(self):
         # S is linear in delta with positive slope for k=1
         r = optimize_delta(1.0, 1, 0.2, 0.1)
-        assert r.arg_star == pytest.approx(1.0, abs=r.arg_tol)
+        assert r.arg_star == pytest.approx(1.0, abs=ARG_TOL)
+        assert r.arg_tol == ARG_TOL
         assert r.method == "grid_golden"
 
     def test_clean_two_relay_peak_load(self):
@@ -50,7 +51,7 @@ class TestOptimizeDelta:
                 d_star, s_star, _ = generic_delta_search(
                     peak_load(eu), 2, eu, ed
                 )
-                assert abs(d_star - delta_star_k2(eu, ed)) <= DEFAULT_ARG_TOL
+                assert abs(d_star - delta_star_k2(eu, ed)) <= ARG_TOL
                 assert abs(s_star - s_star_k2(eu, ed)) <= 1e-8
 
     def test_against_dense_grid_oracle(self):
@@ -93,19 +94,13 @@ class TestOptimizeDelta:
         assert r.value_star == at_arg
 
     def test_evaluation_count(self):
-        # 101 grid points plus the golden section down to arg_tol
+        # 101 grid points plus the golden section down to ARG_TOL
         assert optimize_delta(2.0, 8, 0.3, 0.3).evaluations == 125
 
     def test_deterministic(self):
         a = optimize_delta(1.9, 4, 0.35, 0.25)
         b = optimize_delta(1.9, 4, 0.35, 0.25)
         assert a == b
-
-    def test_arg_tol_validation(self):
-        with pytest.raises(ValueError):
-            optimize_delta(1.0, 2, 0.3, 0.3, arg_tol=0.0)
-        with pytest.raises(ValueError):
-            optimize_delta(1.0, 2, 0.3, 0.3, arg_tol=0.5)
 
 
 class TestOptimizeLoad:
@@ -158,6 +153,11 @@ class TestOptimizeK:
         r = optimize_k(0.3, 1.0, k_max=5)
         assert r.arg_star == 1
         assert r.value_star == 0.0
+
+    def test_load_is_keyword_only(self):
+        # a fourth positional argument is not taken for the load
+        with pytest.raises(TypeError):
+            optimize_k(0.3, 0.3, 4, 0.8)
 
     def test_fixed_load_rule(self):
         r = optimize_k(0.3, 0.3, k_max=4, g=0.8)

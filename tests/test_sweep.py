@@ -33,6 +33,12 @@ class TestSweepSpec:
             SweepSpec(axis="g", values=(2.0, 1.0), fixed=FIXED)
         with pytest.raises(ValueError):
             SweepSpec(axis="g", values=(1.0,), fixed=FIXED, outputs=("s",))
+        # a repeated output would repeat its two columns in the header
+        for outputs in [("analytic", "analytic"),
+                        ("bound", "analytic", "bound")]:
+            with pytest.raises(ValueError, match="'.*' is repeated"):
+                SweepSpec(axis="g", values=(1.0,), fixed=FIXED,
+                          outputs=outputs)
 
     def test_columns_are_a_pure_function_of_the_spec(self):
         spec = SweepSpec(axis="g", values=(0.5, 1.0), fixed=FIXED,
