@@ -50,7 +50,6 @@ from .simulate import (
 )
 from .sweep import (
     FIGURE_IDS,
-    SimOverrides,
     SweepSpec,
     columns_for,
     figure_table,
@@ -67,7 +66,6 @@ __all__ = [
     "RNG_ALGORITHM",
     "RNG_LAYOUT",
     "SimConfig",
-    "SimOverrides",
     "SimStats",
     "SlotOutcome",
     "SweepSpec",

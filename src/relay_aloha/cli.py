@@ -8,6 +8,7 @@ simulate, sweep, reproduce.  All numeric output is CSV on stdout or to
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -28,25 +29,18 @@ from .optimize import (
     optimize_k,
     optimize_load,
 )
-from .simulate import (
-    MODE_BOUND,
-    MODE_FULL,
-    RNG_ALGORITHM,
-    RNG_LAYOUT,
-    SimConfig,
-    simulate,
-)
+from .simulate import MODE_BOUND, MODE_FULL, SimConfig, simulate
 from .sweep import (
-    FIGURE_IDS,
     AXES,
+    FIGURE_IDS,
     OUTPUTS,
-    SimOverrides,
+    RNG_COMMENT,
     SweepSpec,
     columns_for,
+    emit_csv,
     reproduce_figure,
     run_sweep,
     sweep_comments,
-    write_csv,
 )
 
 
@@ -57,104 +51,86 @@ _PARAMS = {  # name: (type, default when optional, help)
     "eps_d": (float, 0.0, "downlink erasure probability"),
     "delta": (float, 1.0, "forwarding probability"),
 }
+_METHOD = dict(choices=("auto", "closed", "series"), default="auto")
 
 
-def _add_params(p: argparse.ArgumentParser, names: str = "g k eps_u eps_d delta",
-                *, required: bool = True) -> None:
+def _params(names: str = "g k eps_u eps_d delta",
+            *, required: bool = True) -> dict[str, dict]:
+    """Flag keywords for the system parameters in ``names``."""
+    flags = {}
     for name in names.split():
         kind, default, help_ = _PARAMS[name]
-        p.add_argument("--" + name.replace("_", "-"), type=kind,
-                       required=required,
-                       default=None if required else default, help=help_)
+        flags[name] = dict(type=kind, required=required,
+                           default=None if required else default, help=help_)
+    return flags
 
 
-def _add_out(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="write CSV here instead of stdout")
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relay-aloha",
         description="Two-tier slotted-ALOHA relay network: analysis, "
                     "optimization and simulation",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="end-to-end throughput at one point")
-    _add_params(p)
-    p.add_argument("--method", choices=("auto", "closed", "series"),
-                   default="auto")
-    _add_out(p)
+    def command(name, run, help_, **flags) -> argparse.ArgumentParser:
+        """Subcommand ``name`` with ``--flag`` per keyword, then ``--out``."""
+        p = sub.add_parser(name, help=help_, allow_abbrev=False)
+        for flag, kwargs in flags.items():
+            p.add_argument("--" + flag.replace("_", "-"), **kwargs)
+        p.add_argument("--out", default=None, metavar="PATH",
+                       help="write CSV here instead of stdout")
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("bound", help="upper-bound throughput at one point")
-    _add_params(p, "g k eps_u")
-    p.add_argument("--method", choices=("auto", "closed", "series"),
-                   default="auto")
-    _add_out(p)
-
-    p = sub.add_parser("optimize-delta",
-                       help="best forwarding probability at fixed load")
-    _add_params(p, "g k eps_u eps_d")
-    _add_out(p)
-
-    p = sub.add_parser("optimize-load", help="best channel load")
-    _add_params(p, "k eps_u eps_d delta")
-    p.add_argument("--g-max", type=float, default=DEFAULT_G_MAX)
-    _add_out(p)
-
-    p = sub.add_parser("optimize-k",
-                       help="best relay count, delta-optimized per count")
-    _add_params(p, "eps_u eps_d")
-    p.add_argument("--g", type=float, default=None,
-                   help="fixed load; omit for the peak-load rule 1/(1-eps_u)")
-    p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
-    _add_out(p)
-
-    p = sub.add_parser("simulate", help="slot-level Monte Carlo run")
-    _add_params(p)
-    p.add_argument("--slots", type=int, required=True,
-                   help="measured slots")
-    p.add_argument("--warmup", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stream", type=int, default=0)
-    p.add_argument("--mode", choices=("full", "bound"), default="full")
-    _add_out(p)
-
-    p = sub.add_parser("sweep", help="vary one axis, CSV row per value")
-    p.add_argument("--axis", choices=AXES, required=True)
-    p.add_argument("--values", required=True,
-                   help="comma-separated, strictly increasing")
-    p.add_argument("--outputs", default="analytic",
-                   help=f"comma-separated subset of {','.join(OUTPUTS)}")
-    _add_params(p, required=False)
-    p.add_argument("--slots", type=int, default=100_000,
-                   help="slots per simulated point")
-    p.add_argument("--warmup", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    _add_out(p)
-
-    p = sub.add_parser("reproduce", help="emit a frozen figure dataset")
-    p.add_argument("figure", choices=FIGURE_IDS)
-    _add_out(p)
-
+    command("eval", _eval, "end-to-end throughput at one point",
+            **_params(), method=_METHOD)
+    command("bound", _bound, "upper-bound throughput at one point",
+            **_params("g k eps_u"), method=_METHOD)
+    command("optimize-delta", _optimize_delta,
+            "best forwarding probability at fixed load",
+            **_params("g k eps_u eps_d"))
+    command("optimize-load", _optimize_load, "best channel load",
+            **_params("k eps_u eps_d delta"),
+            g_max=dict(type=float, default=DEFAULT_G_MAX))
+    command("optimize-k", _optimize_k,
+            "best relay count, delta-optimized per count",
+            **_params("eps_u eps_d"),
+            g=dict(type=float, default=None, help="fixed load; omit for "
+                   "the peak-load rule 1/(1-eps_u)"),
+            k_max=dict(type=int, default=DEFAULT_K_MAX))
+    command("simulate", _simulate, "slot-level Monte Carlo run",
+            **_params(),
+            slots=dict(type=int, required=True, help="measured slots"),
+            warmup=dict(type=int, default=SimConfig.warmup_slots),
+            seed=dict(type=int, default=SimConfig.seed),
+            stream=dict(type=int, default=SimConfig.stream_id),
+            mode=dict(choices=("full", "bound"), default="full"))
+    command("sweep", _sweep, "vary one axis, CSV row per value",
+            axis=dict(choices=AXES, required=True),
+            values=dict(required=True,
+                        help="comma-separated, strictly increasing"),
+            outputs=dict(default="analytic", help="comma-separated subset "
+                         f"of {','.join(OUTPUTS)}"),
+            **_params(required=False),
+            slots=dict(type=int, default=SweepSpec.n_slots,
+                       help="slots per simulated point"),
+            warmup=dict(type=int, default=SweepSpec.warmup_slots),
+            seed=dict(type=int, default=SweepSpec.seed))
+    command("reproduce", _reproduce, "emit a frozen figure dataset"
+            ).add_argument("figure", choices=FIGURE_IDS)
     return parser
 
 
-def _emit(args, columns, rows, comments) -> None:
-    if args.out is None:
-        write_csv(sys.stdout, columns, rows, comments)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as f:
-            write_csv(f, columns, rows, comments)
+def _emit_row(args, row, *comments) -> None:
+    emit_csv(args.out, list(row), [row],
+             [f"relay-aloha {__version__}", *comments])
 
 
-def _emit_row(args, row) -> None:
-    _emit(args, list(row), [row], [f"relay-aloha {__version__}"])
-
-
-def _cmd_eval(args) -> None:
+def _eval(args) -> None:
     params = SystemParams(args.g, args.k, args.eps_u, args.eps_d, args.delta)
     r = {"closed": throughput_closed, "series": throughput_series}.get(
         args.method, throughput)(params)
@@ -166,7 +142,7 @@ def _cmd_eval(args) -> None:
     })
 
 
-def _cmd_bound(args) -> None:
+def _bound(args) -> None:
     r = {"closed": bound_closed, "series": bound_series}.get(
         args.method, bound)(args.g, args.k, args.eps_u)
     _emit_row(args, {
@@ -183,27 +159,27 @@ def _emit_optimum(args, row, arg_name, r) -> None:
     _emit_row(args, row)
 
 
-def _cmd_optimize_delta(args) -> None:
+def _optimize_delta(args) -> None:
     r = optimize_delta(args.g, args.k, args.eps_u, args.eps_d)
     _emit_optimum(args, {"g": args.g, "k": args.k, "eps_u": args.eps_u,
                          "eps_d": args.eps_d}, "delta_star", r)
 
 
-def _cmd_optimize_load(args) -> None:
+def _optimize_load(args) -> None:
     r = optimize_load(args.k, args.eps_u, args.eps_d, args.delta, args.g_max)
     _emit_optimum(args, {"k": args.k, "eps_u": args.eps_u,
                          "eps_d": args.eps_d, "delta": args.delta},
                   "g_star", r)
 
 
-def _cmd_optimize_k(args) -> None:
+def _optimize_k(args) -> None:
     r = optimize_k(args.eps_u, args.eps_d, args.k_max, g=args.g)
     _emit_optimum(args, {"eps_u": args.eps_u, "eps_d": args.eps_d,
                          "g_rule": "peak_load" if args.g is None else args.g},
                   "k_star", r)
 
 
-def _cmd_simulate(args) -> None:
+def _simulate(args) -> None:
     params = SystemParams(args.g, args.k, args.eps_u, args.eps_d, args.delta)
     mode = MODE_FULL if args.mode == "full" else MODE_BOUND
     stats = simulate(
@@ -211,7 +187,7 @@ def _cmd_simulate(args) -> None:
                   warmup_slots=args.warmup, seed=args.seed,
                   stream_id=args.stream, mode=mode)
     )
-    row = {
+    _emit_row(args, {
         "g": params.g, "k": params.k, "eps_u": params.eps_u,
         "eps_d": params.eps_d, "delta": params.delta, "mode": stats.mode,
         "n_slots": stats.measured_slots, "warmup_slots": args.warmup,
@@ -223,13 +199,10 @@ def _cmd_simulate(args) -> None:
         "sink_collision_rate": stats.sink_collision_rate,
         "relay_decode_rate_mean":
             sum(stats.relay_decode_rate) / len(stats.relay_decode_rate),
-    }
-    comments = [f"relay-aloha {__version__}",
-                f"rng={RNG_ALGORITHM} layout={RNG_LAYOUT}"]
-    _emit(args, list(row), [row], comments)
+    }, RNG_COMMENT)
 
 
-def _cmd_sweep(args) -> None:
+def _sweep(args) -> None:
     try:
         values = tuple(
             int(v) if args.axis == "k" else float(v)
@@ -237,41 +210,27 @@ def _cmd_sweep(args) -> None:
         )
     except ValueError:
         raise ValueError(f"could not parse --values {args.values!r}")
-    outputs = tuple(args.outputs.split(","))
     fixed = SystemParams(args.g, args.k, args.eps_u, args.eps_d, args.delta)
     spec = SweepSpec(
-        axis=args.axis, values=values, fixed=fixed, outputs=outputs,
-        sim=SimOverrides(n_slots=args.slots, warmup_slots=args.warmup,
-                         seed=args.seed),
+        axis=args.axis, values=values, fixed=fixed,
+        outputs=tuple(args.outputs.split(",")), n_slots=args.slots,
+        warmup_slots=args.warmup, seed=args.seed,
     )
-    rows = run_sweep(spec)
-    _emit(args, columns_for(spec), rows, sweep_comments(spec))
+    emit_csv(args.out, columns_for(spec), run_sweep(spec),
+             sweep_comments(spec))
 
 
-def _cmd_reproduce(args) -> None:
+def _reproduce(args) -> None:
     reproduce_figure(args.figure, args.out)
 
 
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "bound": _cmd_bound,
-    "optimize-delta": _cmd_optimize_delta,
-    "optimize-load": _cmd_optimize_load,
-    "optimize-k": _cmd_optimize_k,
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
-    "reproduce": _cmd_reproduce,
-}
-
-
 def cli_main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
     try:
-        _COMMANDS[args.command](args)
+        args.run(args)
     except ValueError as exc:
         print(f"relay-aloha: error: {exc}", file=sys.stderr)
         return 1

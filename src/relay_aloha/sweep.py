@@ -21,10 +21,11 @@ byte-identical across runs of the same request.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
 from . import __version__
 from .model import (
@@ -37,7 +38,7 @@ from .model import (
     throughput_closed,
     throughput_series,
 )
-from .optimize import optimize_delta
+from .optimize import OptimizationResult, optimize_delta
 from .simulate import (
     MODE_FULL, RNG_ALGORITHM, RNG_LAYOUT, SimConfig, simulate,
 )
@@ -51,13 +52,8 @@ OUTPUTS = ("analytic", "closed", "series", "bound", "simulated",
 ResultRow = dict[str, object]
 
 
-@dataclass(frozen=True)
-class SimOverrides:
-    """Simulation settings for sweeps that request the simulated output."""
-
-    n_slots: int = 100_000
-    warmup_slots: int = 1000
-    seed: int = 0
+# The ``# rng=`` provenance comment of ``simulate`` and simulated sweeps.
+RNG_COMMENT = f"rng={RNG_ALGORITHM} layout={RNG_LAYOUT}"
 
 
 @dataclass(frozen=True)
@@ -69,13 +65,19 @@ class SweepSpec:
     erasure rates jointly.  The ``delta_star`` and ``s_star`` outputs
     optimize the forwarding probability at each row's own load and relay
     count (the row's ``delta`` field is ignored for those two columns).
+    ``n_slots``, ``warmup_slots`` and ``seed`` set the simulated output
+    (row i plays stream id i of ``seed``).  They and ``fixed`` are checked
+    by :class:`SimConfig`'s rules whatever the outputs: a bad one is a
+    ValueError.
     """
 
     axis: str
     values: tuple[float, ...]
     fixed: SystemParams
     outputs: tuple[str, ...] = ("analytic",)
-    sim: SimOverrides | None = None
+    n_slots: int = 100_000
+    warmup_slots: int = SimConfig.warmup_slots
+    seed: int = SimConfig.seed
 
     def __post_init__(self) -> None:
         if self.axis not in AXES:
@@ -98,6 +100,9 @@ class SweepSpec:
                 )
             if out in self.outputs[:i]:
                 raise ValueError(f"output {out!r} is repeated")
+        cfg = SimConfig(self.fixed, self.n_slots, self.warmup_slots, self.seed)
+        for name in ("n_slots", "warmup_slots", "seed"):
+            object.__setattr__(self, name, getattr(cfg, name))
 
 
 def columns_for(spec: SweepSpec) -> list[str]:
@@ -125,7 +130,8 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     failing output leaves its cells empty and records the reason in the
     row's ``error`` cell instead of aborting the sweep.
     """
-    sim = spec.sim if spec.sim is not None else SimOverrides()
+    # a row asking for delta_star and s_star optimizes once
+    optimum = functools.cache(optimize_delta)
     rows: list[ResultRow] = []
     for i, value in enumerate(spec.values):
         row: ResultRow = {"error": ""}
@@ -141,20 +147,22 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
             )
             for out in spec.outputs:
                 try:
-                    row[out], row[f"{out}_err"] = _evaluate(out, pt, sim, i)
+                    row[out], row[f"{out}_err"] = _evaluate(
+                        out, pt, spec, i, optimum)
                 except ValueError as exc:
                     row[out] = row[f"{out}_err"] = ""
                     errors.append(f"{out}: {exc}")
             if "simulated" in spec.outputs:
-                row["seed"] = sim.seed
-                row["n_slots"] = sim.n_slots
+                row["seed"] = spec.seed
+                row["n_slots"] = spec.n_slots
         row["error"] = "; ".join(errors)
         rows.append(row)
     return rows
 
 
 def _evaluate(
-    out: str, pt: SystemParams, sim: SimOverrides, stream_id: int
+    out: str, pt: SystemParams, spec: SweepSpec, stream_id: int,
+    optimum: Callable[..., OptimizationResult],
 ) -> tuple[float, float]:
     if out in ("analytic", "closed", "series", "bound"):
         r = (throughput(pt) if out == "analytic"
@@ -164,12 +172,12 @@ def _evaluate(
         return r.value, r.est_abs_error
     if out == "simulated":
         stats = simulate(SimConfig(
-            params=pt, n_slots=sim.n_slots, warmup_slots=sim.warmup_slots,
-            seed=sim.seed, stream_id=stream_id, mode=MODE_FULL,
+            params=pt, n_slots=spec.n_slots, warmup_slots=spec.warmup_slots,
+            seed=spec.seed, stream_id=stream_id, mode=MODE_FULL,
         ))
         return stats.throughput_estimate, stats.ci95_halfwidth
     # "delta_star" or "s_star": SweepSpec admits no other output
-    r = optimize_delta(pt.g, pt.k, pt.eps_u, pt.eps_d)
+    r = optimum(pt.g, pt.k, pt.eps_u, pt.eps_d)
     return (float(r.arg_star) if out == "delta_star"
             else r.value_star), 0.0
 
@@ -200,17 +208,29 @@ def write_csv(
         f.write(",".join(format_cell(row.get(c, "")) for c in columns) + "\n")
 
 
+def emit_csv(
+    out_path: str | None,
+    columns: list[str],
+    rows: Iterable[ResultRow],
+    comments: Iterable[str] = (),
+) -> None:
+    """:func:`write_csv` to the file ``out_path``, or to stdout if None."""
+    if out_path is None:
+        write_csv(sys.stdout, columns, rows, comments)
+        return
+    with open(out_path, "w", encoding="utf-8", newline="") as f:
+        write_csv(f, columns, rows, comments)
+
+
 def sweep_comments(spec: SweepSpec) -> list[str]:
     comments = [
         f"relay-aloha {__version__}",
         f"sweep axis={spec.axis} outputs={','.join(spec.outputs)}",
     ]
     if "simulated" in spec.outputs:
-        sim = spec.sim if spec.sim is not None else SimOverrides()
         comments.append(
-            f"simulation seed={sim.seed} n_slots={sim.n_slots} "
-            f"warmup={sim.warmup_slots} rng={RNG_ALGORITHM} "
-            f"layout={RNG_LAYOUT}"
+            f"simulation seed={spec.seed} n_slots={spec.n_slots} "
+            f"warmup={spec.warmup_slots} {RNG_COMMENT}"
         )
     return comments
 
@@ -290,8 +310,4 @@ def figure_table(fig_id: str) -> tuple[list[str], list[str], list[ResultRow]]:
 def reproduce_figure(fig_id: str, out_path: str | None = None) -> None:
     """Write one figure dataset as CSV to ``out_path`` (stdout if None)."""
     comments, columns, rows = figure_table(fig_id)
-    if out_path is None:
-        write_csv(sys.stdout, columns, rows, comments)
-        return
-    with open(out_path, "w", encoding="utf-8", newline="") as f:
-        write_csv(f, columns, rows, comments)
+    emit_csv(out_path, columns, rows, comments)

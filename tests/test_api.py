@@ -47,14 +47,15 @@ def test_every_exported_name_imports():
 REMOVED = ("SeriesTruncation", "default_truncation", "poisson_pmf",
            "log_binomial", "q_success_downlink_arrival", "EPS_FLOOR",
            "K_CLOSED_MAX", "p_decode_uplink", "NonConvergenceError",
-           "DEFAULT_ARG_TOL", "HCache")
+           "DEFAULT_ARG_TOL", "HCache", "SimOverrides")
 
 
 def test_removed_names_are_gone():
     for name in REMOVED:
         assert name not in relay_aloha.__all__, name
         assert not hasattr(relay_aloha, name), name
-        for module in ("kernels", "model", "optimize"):
+        for module in ("kernels", "model", "optimize", "simulate", "sweep",
+                       "cli"):
             assert not hasattr(getattr(relay_aloha, module), name), name
 
 
@@ -88,6 +89,12 @@ def _optimize_k(eps_u, eps_d, k_max, g):
     return optimize_k(eps_u, eps_d, k_max, g=g)  # g is keyword-only
 
 
+@functools.wraps(SweepSpec)
+def _sweep_spec(n_slots, warmup_slots, seed):
+    return SweepSpec("g", (1.0,), P, ("simulated",), n_slots, warmup_slots,
+                     seed)
+
+
 ENTRY_POINTS = {
     "SystemParams": (SystemParams, (2.0, 2, 0.3, 0.3, 0.5)),
     "bound": (bound, (2.0, 2, 0.3)),
@@ -103,6 +110,7 @@ ENTRY_POINTS = {
     "optimize_load": (optimize_load, (2, 0.3, 0.3, 0.5, 4.0)),
     "optimize_k": (_optimize_k, (0.3, 0.3, 3, 2.0)),
     "SimConfig": (SimConfig, (P, 100, 10, 0, 0)),
+    "SweepSpec": (_sweep_spec, (100, 10, 0)),
     "rng_substream": (rng_substream, (0, 0)),
     "ancillary_h": (ancillary_h, (2, 1.0)),
     "ancillary_h_oracle": (ancillary_h_oracle, (2, 1.0)),
@@ -181,6 +189,7 @@ NUMPY_CASES = [
     (ancillary_h_oracle, (3, 1.5)),
     (poisson_table, (2.0, 1e-14)),
     (_simulate, (2.0, 3, 0.3, 0.3, 0.5, 2000, 10, 7, 1)),
+    (_sweep_spec, (2000, 10, 7)),
 ]
 
 

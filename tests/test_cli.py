@@ -1,11 +1,13 @@
 import csv
 import io
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
-from relay_aloha import RNG_ALGORITHM, RNG_LAYOUT
-from relay_aloha.cli import cli_main
+from relay_aloha import RNG_ALGORITHM, RNG_LAYOUT, __version__
+from relay_aloha.cli import build_parser, cli_main
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +98,38 @@ class TestUsageErrors:
     )
     def test_help_exits_cleanly(self, capsys, cmd):
         assert run_cli(capsys, cmd, "--help")[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        # --g is no optimize-load flag and must not be read as --g-max
+        ["optimize-load", "--k", "2", "--eps-u", "0.3", "--eps-d", "0.3",
+         "--delta", "1", "--g", "2"],
+        # --k is no optimize-k flag and must not be read as --k-max
+        ["optimize-k", "--eps-u", "0.3", "--eps-d", "0.3", "--k", "4"],
+        ["eval", "--g", "1", "--k", "1", "--eps-u", "0", "--eps-d", "0",
+         "--delta", "1", "--meth", "closed"],
+        ["--vers"],
+    ])
+    def test_abbreviated_flags_are_usage_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: relay-aloha")
+
+    def test_repeated_parses_exit_as_before(self, capsys):
+        sweep = ["sweep", "--axis", "g", "--values", "1"]
+        for _ in range(3):
+            assert run_cli(capsys, "--version") == (0, f"{__version__}\n", "")
+            code, out, _ = run_cli(capsys, "eval", "--help")
+            assert code == 0 and out.startswith("usage: relay-aloha eval")
+            code, out, err = run_cli(capsys, "eval", "--g", "1")
+            assert code == 2 and out == "" and "required" in err
+            assert run_cli(capsys, "frobnicate")[0] == 2
+            assert run_cli(capsys, "bound", "--g", "1", "--k", "2",
+                           "--eps-u", "0.3")[0] == 0
+            # a flag given in one parse does not become the next default
+            assert build_parser().parse_args(sweep + ["--seed", "5"]).seed == 5
+            assert build_parser().parse_args(sweep).seed == 0
+        assert build_parser() is build_parser()
 
 
 class TestBound:
@@ -237,6 +271,24 @@ class TestSweepCommand:
         assert out == ""
         assert "repeated" in err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--slots", "0"], "n_slots must be >= 1, got 0"),
+        (["--warmup", "0"], "warmup_slots must be >= 1, got 0"),
+        (["--seed", "-1"],
+         "seed must be in 0..18446744073709551615, got -1"),
+    ])
+    @pytest.mark.parametrize("outputs", ["simulated", "analytic"])
+    def test_bad_simulation_settings_are_domain_errors(
+            self, capsys, tmp_path, flags, message, outputs):
+        argv = ["sweep", "--axis", "g", "--values", "1,2", "--k", "2",
+                "--outputs", outputs, *flags]
+        path = tmp_path / "sweep.csv"
+        for out_flag in ([], ["--out", str(path)]):
+            code, out, err = run_cli(capsys, *argv, *out_flag)
+            assert (code, out) == (1, "")
+            assert err == f"relay-aloha: error: {message}\n"
+        assert not path.exists()
+
     def test_unknown_output(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--axis", "g", "--values", "1,2",
@@ -268,3 +320,36 @@ class TestReproduceCommand:
             "--out", str(tmp_path / "no_such_dir" / "x.csv"),
         )
         assert code == 1
+
+
+def readme_commands():
+    """The argv of each command in README's "Command line" block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line) for line in block.splitlines() if line.strip()]
+
+
+def test_readme_lists_every_subcommand():
+    assert {argv[1] for argv in readme_commands()} == {
+        "eval", "bound", "optimize-delta", "optimize-k", "optimize-load",
+        "simulate", "sweep", "reproduce"}
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda a: a[1])
+def test_readme_command_runs(capsys, tmp_path, monkeypatch, argv):
+    # the documented commands run as written, and --out gets stdout's bytes
+    assert argv[0] == "relay-aloha"
+    monkeypatch.chdir(tmp_path)
+    argv = argv[1:]
+    if "--out" in argv:
+        i = argv.index("--out")
+        path, stdout_argv = Path(argv[i + 1]), argv[:i] + argv[i + 2:]
+        file_argv = argv
+    else:
+        path, stdout_argv = Path("out.csv"), argv
+        file_argv = argv + ["--out", "out.csv"]
+    code, out, err = run_cli(capsys, *stdout_argv)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, *file_argv) == (0, "", "")
+    assert path.read_bytes() == out.encode("utf-8")

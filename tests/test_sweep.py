@@ -1,12 +1,12 @@
 import io
 import math
 
+import numpy as np
 import pytest
 
 from relay_aloha import (
     RNG_ALGORITHM,
     RNG_LAYOUT,
-    SimOverrides,
     SweepSpec,
     SystemParams,
     columns_for,
@@ -16,6 +16,7 @@ from relay_aloha import (
     run_sweep,
     s_star_k2,
 )
+from relay_aloha import sweep
 from relay_aloha.sweep import format_cell, sweep_comments, write_csv
 
 FIXED = SystemParams(1.0, 1, 0.0, 0.0, 1.0)
@@ -39,6 +40,31 @@ class TestSweepSpec:
             with pytest.raises(ValueError, match="'.*' is repeated"):
                 SweepSpec(axis="g", values=(1.0,), fixed=FIXED,
                           outputs=outputs)
+        # the simulation settings and ``fixed`` are checked by SimConfig's
+        # rules, whatever the outputs
+        for bad, match in [
+            (dict(n_slots=0), "n_slots must be >= 1, got 0"),
+            (dict(n_slots=2.5), "n_slots must be an integer, got 2.5"),
+            (dict(warmup_slots=0), "warmup_slots must be >= 1, got 0"),
+            (dict(seed=-1), "seed must be in 0..18446744073709551615"),
+            (dict(seed=2**64), "seed must be in 0.."),
+            (dict(fixed=None), "params must be a SystemParams"),
+            (dict(fixed=(1.0, 1, 0.0, 0.0, 1.0)),
+             "params must be a SystemParams"),
+        ]:
+            for outputs in [("analytic",), ("simulated",)]:
+                args = dict(axis="g", values=(1.0,), fixed=FIXED,
+                            outputs=outputs) | bad
+                with pytest.raises(ValueError, match=match):
+                    SweepSpec(**args)
+
+    def test_simulation_settings_are_stored_as_ints(self):
+        spec = SweepSpec(axis="g", values=(1.0,), fixed=FIXED,
+                         n_slots=np.int64(500), warmup_slots=np.int32(3),
+                         seed=np.uint64(7))
+        assert (spec.n_slots, spec.warmup_slots, spec.seed) == (500, 3, 7)
+        assert all(type(v) is int
+                   for v in (spec.n_slots, spec.warmup_slots, spec.seed))
 
     def test_columns_are_a_pure_function_of_the_spec(self):
         spec = SweepSpec(axis="g", values=(0.5, 1.0), fixed=FIXED,
@@ -147,7 +173,7 @@ class TestRunSweep:
             axis="g", values=(0.5, 1.0),
             fixed=SystemParams(1.0, 2, 0.2, 0.2, 1.0),
             outputs=("analytic", "simulated"),
-            sim=SimOverrides(n_slots=20_000, seed=5),
+            n_slots=20_000, seed=5,
         )
         rows_a = run_sweep(spec)
         rows_b = run_sweep(spec)
@@ -156,6 +182,26 @@ class TestRunSweep:
             assert row["seed"] == 5
             assert row["n_slots"] == 20_000
             assert abs(row["simulated"] - row["analytic"]) <= 5 * row["simulated_err"]
+
+    def test_star_columns_share_one_optimization_per_row(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return optimize_delta(*args)
+
+        monkeypatch.setattr(sweep, "optimize_delta", counted)
+        spec = SweepSpec(
+            axis="eps", values=(0.2, 0.5),
+            fixed=SystemParams(1.0, 2, 0.0, 0.0, 1.0),
+            outputs=("delta_star", "analytic", "s_star"),
+        )
+        rows = run_sweep(spec)
+        assert calls == [(1.0, 2, 0.2, 0.2), (1.0, 2, 0.5, 0.5)]
+        for row, args in zip(rows, calls):
+            ref = optimize_delta(*args)
+            assert (row["delta_star"], row["s_star"]) == (ref.arg_star,
+                                                          ref.value_star)
 
     def test_rows_track_values_in_order(self):
         spec = SweepSpec(axis="g", values=(0.25, 0.5, 2.0), fixed=FIXED)
