@@ -202,12 +202,18 @@ def _simulate(args) -> None:
     }, RNG_COMMENT)
 
 
-def _sweep(args) -> None:
+def _number(text: str) -> int | float:
+    """``text`` as an ``int`` if it reads as one, else as a ``float``."""
     try:
-        values = tuple(
-            int(v) if args.axis == "k" else float(v)
-            for v in args.values.split(",")
-        )
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def _sweep(args) -> None:
+    # one rule for every axis: the library decides what each axis accepts
+    try:
+        values = tuple(_number(v) for v in args.values.split(","))
     except ValueError:
         raise ValueError(f"could not parse --values {args.values!r}")
     fixed = SystemParams(args.g, args.k, args.eps_u, args.eps_d, args.delta)

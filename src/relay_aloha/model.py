@@ -369,11 +369,5 @@ def s_star_k2(eps_u: float, eps_d: float) -> float:
     e^(eps_u - 1) / (2 (1 - eps_u + eps_u^2)) at an interior optimum,
     the quadratic evaluated at delta = 1 otherwise.
     """
-    ds = delta_star_k2(eps_u, eps_d)
-    eps_u, eps_d = float(eps_u), float(eps_d)  # real, checked just above
-    if ds < 1.0:
-        return math.exp(-1.0 + eps_u) / (
-            2.0 * (1.0 - eps_u + eps_u * eps_u)
-        )
-    c = (1.0 - eps_u + eps_u * eps_u) * math.exp(-eps_u)
-    return (2.0 * (1.0 - eps_d) / math.e) * (1.0 - (1.0 - eps_d) * c)
+    return throughput_k2_at_peak_load(eps_u, eps_d,
+                                      delta_star_k2(eps_u, eps_d))

@@ -19,10 +19,10 @@ import numpy as np
 from .kernels import G_MAX, integer_arg, real_arg
 from .model import (
     SystemParams,
+    _curve,
     _delta_curve,
     delta_star_k2,
     peak_load,
-    throughput,
 )
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -148,8 +148,10 @@ def optimize_load(
     lin = np.linspace(g_max / half, g_max, half)
     grid = [float(x) for x in np.unique(np.concatenate([geo, lin]))]
 
+    p = SystemParams(g_max, k, eps_u, eps_d, delta)  # every grid load fits
+
     def objective(g: float) -> float:
-        return throughput(SystemParams(g, k, eps_u, eps_d, delta)).value
+        return _curve(g, p.k, p.eps_u, p.eps_d, False)(p.delta).value
 
     g_star, v_star, evals = _grid_then_golden(objective, grid, ARG_TOL)
     return OptimizationResult(g_star, v_star, "grid_golden", evals)

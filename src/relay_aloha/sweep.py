@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 from typing import IO, Callable, Iterable
@@ -60,15 +61,17 @@ RNG_COMMENT = f"rng={RNG_ALGORITHM} layout={RNG_LAYOUT}"
 class SweepSpec:
     """One sweep request.
 
-    ``values`` must be strictly increasing, and no output may repeat
-    (its columns would).  The ``eps`` axis sets the uplink and downlink
-    erasure rates jointly.  The ``delta_star`` and ``s_star`` outputs
-    optimize the forwarding probability at each row's own load and relay
-    count (the row's ``delta`` field is ignored for those two columns).
-    ``n_slots``, ``warmup_slots`` and ``seed`` set the simulated output
-    (row i plays stream id i of ``seed``).  They and ``fixed`` are checked
-    by :class:`SimConfig`'s rules whatever the outputs: a bad one is a
-    ValueError.
+    ``values`` must be real numbers (not a string or bytes) in strictly
+    increasing order, stored as a tuple; a value outside the axis's
+    domain (NaN, a bool, k = 2.5) only fills its row's ``error`` cell.
+    No output may repeat (its columns would).  The ``eps`` axis sets the
+    uplink and downlink erasure rates jointly.  The ``delta_star`` and
+    ``s_star`` outputs optimize the forwarding probability at each row's
+    own load and relay count (the row's ``delta`` field is ignored for
+    those two columns).  ``n_slots``, ``warmup_slots`` and ``seed`` set
+    the simulated output (row i plays stream id i of ``seed``).  They and
+    ``fixed`` are checked by :class:`SimConfig`'s rules whatever the
+    outputs: a bad one is a ValueError.
     """
 
     axis: str
@@ -82,15 +85,19 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.axis not in AXES:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
-        if not self.values:
-            raise ValueError("values must be non-empty")
         try:
-            ordered = not any(b <= a for a, b in zip(self.values,
-                                                     self.values[1:]))
-        except TypeError:  # values that do not compare
-            ordered = False
-        if not ordered:
+            values = tuple(self.values)
+        except TypeError:  # not iterable
+            values = None
+        if (values is None or isinstance(self.values, (str, bytes, bytearray))
+                or not all(isinstance(v, numbers.Real) for v in values)):
+            raise ValueError(
+                f"values must be real numbers, got {self.values!r}")
+        if not values:
+            raise ValueError("values must be non-empty")
+        if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("values must be strictly increasing")
+        object.__setattr__(self, "values", values)
         if not self.outputs:
             raise ValueError("outputs must be non-empty")
         for i, out in enumerate(self.outputs):

@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from relay_aloha import RNG_ALGORITHM, RNG_LAYOUT, __version__
+from relay_aloha import (
+    RNG_ALGORITHM, RNG_LAYOUT, SweepSpec, SystemParams, __version__, run_sweep,
+)
 from relay_aloha.cli import build_parser, cli_main
+from relay_aloha.sweep import columns_for, sweep_comments, write_csv
 
 
 def run_cli(capsys, *argv):
@@ -257,10 +260,27 @@ class TestSweepCommand:
         assert vals == sorted(vals)
 
     def test_bad_values_list(self, capsys):
-        code, _, _ = run_cli(
-            capsys, "sweep", "--axis", "g", "--values", "1,oops"
+        for axis in ("g", "k"):
+            code, out, err = run_cli(
+                capsys, "sweep", "--axis", axis, "--values", "1,oops"
+            )
+            assert (code, out) == (1, "")
+            assert err == ("relay-aloha: error: could not parse --values "
+                           "'1,oops'\n")
+
+    def test_rows_are_the_librarys_rows(self, capsys):
+        # one parse rule on every axis: 2.5 reaches the library, whose
+        # per-point rule fills that row's error cell
+        code, out, _ = run_cli(
+            capsys, "sweep", "--axis", "k", "--values", "2,2.5", "--k", "2"
         )
-        assert code == 1
+        spec = SweepSpec(axis="k", values=(2, 2.5),
+                         fixed=SystemParams(1.0, 2, 0.0, 0.0, 1.0))
+        want = io.StringIO()
+        write_csv(want, columns_for(spec), run_sweep(spec),
+                  sweep_comments(spec))
+        assert (code, out) == (0, want.getvalue())
+        assert out.endswith(",k must be an integer, got 2.5\n")
 
     def test_repeated_output_is_a_domain_error(self, capsys):
         code, out, err = run_cli(

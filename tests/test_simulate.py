@@ -7,9 +7,11 @@ import pytest
 
 from relay_aloha import (
     MODE_BOUND,
+    MODE_FULL,
     RNG_ALGORITHM,
     RNG_LAYOUT,
     SimConfig,
+    SimStats,
     SystemParams,
     bound_series,
     peak_load,
@@ -22,7 +24,9 @@ from relay_aloha import (
 )
 from relay_aloha.kernels import poisson_table
 from relay_aloha.model import _decode_table
-from relay_aloha.simulate import _CHUNK, _TAIL, _BatchMeans, _occupancy
+from relay_aloha.simulate import (
+    _CHUNK, _TAIL, _TRACE_LAYOUT, _Z95, _Tally, _occupancy,
+)
 
 
 def within_ci(estimate, target, halfwidth, sigmas=3):
@@ -384,6 +388,7 @@ class TestStreaming:
         (1, 2 * _CHUNK - 1),                    # window starts in chunk 0
         (2 * _CHUNK + 777, _CHUNK + 4321),      # warmup ends in chunk 2
         (5, 37),                                # one short chunk
+        (368, 40_000),                          # a batch ends with chunk 0
     ])
     def test_matches_whole_run_replay(self, mode, warmup, n_slots):
         cfg = SimConfig(params=SystemParams(1.7, 3, 0.3, 0.2, 0.6),
@@ -420,17 +425,68 @@ class TestStreaming:
                     <= st.total_forwards <= st.total_decodes)
 
     def test_batch_sums_equal_array_split_means(self):
+        # the tally's batch counts, fed in pieces of every kind
         rng = np.random.default_rng(5)
+        params = SystemParams(1.0, 1, 0.0, 0.0, 1.0)
         for n in (1, 2, 99, 100, 101, 1234, 5000):
             x = rng.random(n) < 0.3
-            cuts = np.sort(rng.integers(0, n + 1, size=rng.integers(0, 6)))
-            batches = _BatchMeans(n)
-            for piece in np.split(x, cuts):
-                if piece.size:
-                    batches.add(piece)
             split = np.array_split(x.astype(np.float64), min(100, n))
-            means = np.array(batches.counts) / np.array(batches.sizes)
-            assert np.array_equal(means, [c.mean() for c in split])
+            means = [b.mean() for b in split]
+            want_ci = (_Z95 * float(np.std(means, ddof=1))
+                       / math.sqrt(len(means)) if len(means) > 1 else 0.0)
+            ends = np.cumsum([b.size for b in split])
+            size = int(ends[0])
+            for name, cuts in {
+                "random": rng.integers(0, n + 1, size=rng.integers(0, 6)),
+                "shorter than a batch": np.arange(0, n, max(size // 3, 1)),
+                "longer than a batch": np.arange(0, n, 3 * size + 1),
+                "on batch ends": ends,
+                "next to batch ends": np.r_[ends - 1, ends + 1],
+            }.items():
+                tally = _Tally(SimConfig(params=params, n_slots=n))
+                for piece in np.split(x, np.sort(np.clip(cuts, 0, n))):
+                    tally.measure(piece)  # empty pieces too
+                counts = np.diff(tally.at_ends, prepend=0)
+                sizes = np.diff(tally.ends, prepend=0)
+                assert np.array_equal(counts / sizes, means), (n, name)
+                st = tally.stats(RNG_LAYOUT)
+                assert st.delivered_packets == int(x.sum()), (n, name)
+                assert st.ci95_halfwidth == want_ci, (n, name)
+
+    def test_stats_pinned_at_a_fixed_seed(self):
+        # Both routes' SimStats at one seed, as first recorded.  A change
+        # to the draw order or to the counting that moves these values
+        # must rename RNG_LAYOUT (or the trace route's layout).
+        msg = "SimStats moved at a fixed seed: rename the RNG layout"
+        p = SystemParams(1.7, 3, 0.3, 0.2, 0.6)
+        assert simulate(SimConfig(params=p, n_slots=40_000, warmup_slots=368,
+                                  seed=41, stream_id=3)) == SimStats(
+            delivered_packets=11283, measured_slots=40000,
+            throughput_estimate=0.282075,
+            ci95_halfwidth=0.004531727089416026,
+            relay_decode_rate=(0.3601, 0.3629, 0.36345),
+            uplink_union_rate=0.59975, sink_collision_rate=0.112525,
+            total_decodes=43854, total_forwards=26354,
+            total_sink_arrivals=21054, seed=41, stream_id=3,
+            mode=MODE_FULL, rng_algorithm="philox4x64",
+            rng_layout="chunk32768:occupancy-f64-poisson-table,relays-f32xk",
+        ), msg
+        p = SystemParams(1.8, 3, 0.3, 0.25, 0.7)
+        assert simulate_trace(SimConfig(params=p, n_slots=4000,
+                                        warmup_slots=50, seed=13))[0] == (
+            SimStats(
+                delivered_packets=1131, measured_slots=4000,
+                throughput_estimate=0.28275,
+                ci95_halfwidth=0.015830791523879794,
+                relay_decode_rate=(0.35725, 0.367, 0.352),
+                uplink_union_rate=0.59375, sink_collision_rate=0.12775,
+                total_decodes=4369, total_forwards=3052,
+                total_sink_arrivals=2248, seed=13, stream_id=0,
+                mode=MODE_FULL, rng_algorithm="philox4x64",
+                rng_layout=_TRACE_LAYOUT,
+            )), msg
+        assert _TRACE_LAYOUT == ("whole-run:occupancy-poisson,"
+                                 "relays-binomialxk,relays-f64xk"), msg
 
     def test_no_load_delivers_nothing(self):
         st = simulate(SimConfig(params=SystemParams(0.0, 3, 0.3, 0.3, 1.0),

@@ -32,6 +32,12 @@ class TestSweepSpec:
             SweepSpec(axis="g", values=(1.0, 1.0), fixed=FIXED)
         with pytest.raises(ValueError):
             SweepSpec(axis="g", values=(2.0, 1.0), fixed=FIXED)
+        # values are real numbers: no string or bytes (whose characters
+        # or byte values would be swept), no complex or None
+        for values in ["12", b"12", bytearray(b"12"), ("1", "2"),
+                       (1.0, None), (1.0, 2j), None, 5]:
+            with pytest.raises(ValueError, match="values must be real"):
+                SweepSpec(axis="g", values=values, fixed=FIXED)
         with pytest.raises(ValueError):
             SweepSpec(axis="g", values=(1.0,), fixed=FIXED, outputs=("s",))
         # a repeated output would repeat its two columns in the header
@@ -57,6 +63,13 @@ class TestSweepSpec:
                             outputs=outputs) | bad
                 with pytest.raises(ValueError, match=match):
                     SweepSpec(**args)
+
+    def test_values_are_stored_as_a_tuple(self):
+        for values in [[1, 2.5], (x for x in (1, 2.5)),
+                       np.array([1.0, 2.5])]:
+            spec = SweepSpec(axis="g", values=values, fixed=FIXED)
+            assert spec.values == (1, 2.5)
+            assert len(run_sweep(spec)) == 2
 
     def test_simulation_settings_are_stored_as_ints(self):
         spec = SweepSpec(axis="g", values=(1.0,), fixed=FIXED,
