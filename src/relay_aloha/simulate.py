@@ -16,8 +16,9 @@ Two sampling routes, identical in law:
   compared against nested thresholds p_n >= p_n*delta >=
   p_n*delta*(1-eps_d); that reproduces the joint law of the
   decode/forward/arrival chain with a fifth of the random numbers of
-  per-event coins.  Memory is bounded by the chunk, whatever the run
-  length;
+  per-event coins.  It reads those uniforms from the generator's raw
+  words, by numpy's own rules, and looks the class up in guide tables.
+  Memory is bounded by the chunk, whatever the run length;
 * the trace route (``simulate_trace``) materializes per-relay survivor
   counts via binomial thinning of the offered batch, so slot-by-slot
   records carry the actual arrival counts.  It shares no sampling code
@@ -62,6 +63,12 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # The occupancy table stops on each side of the mode where the Poisson
 # probability drops below the resolution of a float64 uniform.
 _TAIL = 2.0**-53
+# Top bits of a raw occupancy word that pick its bucket in the guide
+# tables of the occupancy draw (see _Thresholds), and the decode entry
+# of a bucket whose words must search their class; every true threshold
+# is at most 2^24.
+_BITS = 12
+_IN_STEP = np.uint32(0xFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -236,58 +243,113 @@ class _Tally:
         )
 
 
+class _Thresholds:
+    """Each slot's relay thresholds, from its raw occupancy word.
+
+    ``tables[r, i]`` is test r's threshold in occupancy class i of
+    :func:`_occupancy`: r = 0 decodes (p_i) and, in the full mode, r = 1
+    forwards (p_i delta) and r = 2 arrives (p_i delta (1 - eps_d)).  A
+    float32 threshold t is stored as ceil(t 2^24), the number of float32
+    uniforms below it.
+
+    ``buckets`` are guide tables (Chen & Asau, 1974).  Bucket b holds the
+    words whose top ``_BITS`` bits read b, the uniforms u in
+    [b, b + 1) 2^-_BITS, and its column is that of the class of its
+    lowest u.  Where a CDF value lies strictly inside a bucket, the class
+    of a u there may differ: its decode entry is ``_IN_STEP`` and its
+    words take ``searchsorted`` on their own u.  Built in O(classes +
+    2^_BITS) steps; calls reuse scratch for up to ``size`` words.
+    """
+
+    def __init__(self, p: SystemParams, full: bool, size: int) -> None:
+        self.cdf, p_dec = _occupancy(p.g, p.eps_u)
+        scale = (1.0, p.delta, p.delta * (1.0 - p.eps_d)) if full else (1.0,)
+        t = np.multiply.outer(scale, p_dec).astype(np.float32)
+        t *= np.float32(1 << 24)  # exact: a power-of-two scale
+        self.tables = np.ceil(t, out=t).astype(np.uint32)
+        x = self.cdf * (1 << _BITS)  # exact too
+        # class i starts at the bucket of the ceiling of its lower CDF value
+        edges = np.empty(x.size + 2)
+        edges[0], edges[-1] = 0, 1 << _BITS
+        up = np.ceil(x, out=edges[1:-1])
+        self.buckets = self.tables.repeat(
+            (edges[1:] - edges[:-1]).astype(np.intp), axis=1)
+        self.buckets[0, up[up != x].astype(np.intp) - 1] = _IN_STEP
+        self._bucket = np.empty(size, dtype=np.uint64)
+        self._in_step = np.empty(size, dtype=bool)
+
+    def __call__(self, words: np.ndarray, out: np.ndarray) -> None:
+        """Fill ``out[r, i]`` with test r's threshold for ``words[i]``."""
+        bucket = self._bucket[:words.size]
+        np.right_shift(words, 64 - _BITS, out=bucket)
+        ix = bucket.view(np.intp)  # below 2^_BITS: the same bits
+        for tab, row in zip(self.buckets, out):
+            tab.take(ix, out=row, mode="clip")
+        (steps,) = np.equal(out[0], _IN_STEP,
+                            out=self._in_step[:words.size]).nonzero()
+        if steps.size:
+            u = (words[steps] >> 11) * 2.0**-53  # numpy's float64 rule
+            out[:, steps] = self.tables[
+                :, np.searchsorted(self.cdf, u, side="right")]
+
+
 def simulate(config: SimConfig) -> SimStats:
     """Run the protocol and estimate throughput (estimation route).
 
     Plays the slots in chunks of ``_CHUNK`` in the draw order named by
     :data:`RNG_LAYOUT`; memory does not grow with ``n_slots``.
+
+    It reads the generator's raw 64-bit words and applies numpy's own
+    rules, so it draws exactly what ``rng.random`` would: a float64
+    uniform is ``(w >> 11) 2^-53`` and a float32 one ``(h >> 8) 2^-24``
+    of the next 32-bit half h, low half first.  A relay test ``u < t``
+    for a float32 threshold t is then the integer test
+    ``(h >> 8) < ceil(t 2^24)``, and the occupancy class is looked up by
+    :class:`_Thresholds`.
     """
     tally = _Tally(config)
     p, w, k = config.params, config.warmup_slots, config.params.k
     total_slots, full = w + config.n_slots, config.mode == MODE_FULL
-    rng = rng_substream(config.seed, config.stream_id)
-
-    cdf, p_dec = _occupancy(p.g, p.eps_u)
-    tables = [p_dec]
-    if full:
-        tables += [p_dec * p.delta, p_dec * (p.delta * (1.0 - p.eps_d))]
-    tables = [t.astype(np.float32) for t in tables]
+    raw = rng_substream(config.seed, config.stream_id).bit_generator.random_raw
 
     m = min(_CHUNK, total_slots)
-    occ = np.empty(m)
-    thr = np.empty((len(tables), m), dtype=np.float32)
-    u = np.empty(m, dtype=np.float32)
+    thresholds = _Thresholds(p, full, m)
+    thr = np.empty((len(thresholds.tables), m), dtype=np.uint32)
     hit = np.empty(m, dtype=bool)
     union = np.empty(m, dtype=bool)
     # sink[t] counts arrivals in slot t of a chunk of c slots; sink[c]
     # collects the forwards of its last slot, carried into the next chunk.
-    sink = np.zeros(m + 1, dtype=np.int32)
+    # At most k arrive in a slot: the narrowest unsigned type holds them.
+    sink = np.zeros(m + 1, dtype=np.min_scalar_type(k))
 
     for start in range(0, total_slots, m):
         c = min(m, total_slots - start)
         lo = min(max(w - start, 0), c)  # first measured slot of the chunk
-        rng.random(out=occ[:c])
-        cls = np.searchsorted(cdf, occ[:c], side="right")
-        for tab, row in zip(tables, thr):
-            np.take(tab, cls, out=row[:c])
-        thr_dec = thr[0, :c]
-        uc, hc, unc = u[:c], hit[:c], union[:c]
+        thresholds(raw(c), thr[:, :c])
+        thr_dec, hc, unc = thr[0, :c], hit[:c], union[:c]
         unc[:] = False
-        for i in range(k):
-            rng.random(out=uc, dtype=np.float32)
-            np.less(uc, thr_dec, out=hc)
-            unc |= hc
-            tally.decode_hits[i] += np.count_nonzero(hc[lo:])
-            tally.decodes += np.count_nonzero(hc)
-            if full:
-                np.less(uc, thr[1, :c], out=hc)
-                tally.forwards += np.count_nonzero(hc)
-                np.less(uc, thr[2, :c], out=hc)
-                sink[1:c + 1] += hc
+        for i in range(0, k, 2):
+            # relays i and i + 1 take the next 2c halves, low half first;
+            # a lone last relay takes c of them
+            h = raw(c if i + 1 < k else (c + 1) // 2)
+            h = h.astype("<u8", copy=False).view("<u4")  # on any host
+            np.right_shift(h, 8, out=h)
+            for j, uc in enumerate((h[:c], h[c:2 * c])[:k - i], i):
+                np.less(uc, thr_dec, out=hc)
+                unc |= hc
+                n_hits = np.count_nonzero(hc)
+                tally.decodes += n_hits
+                tally.decode_hits[j] += (np.count_nonzero(hc[lo:]) if lo
+                                         else n_hits)
+                if full:
+                    np.less(uc, thr[1, :c], out=hc)
+                    tally.forwards += np.count_nonzero(hc)
+                    np.less(uc, thr[2, :c], out=hc)
+                    sink[1:c + 1] += hc.view(np.uint8)
         tally.union_hits += np.count_nonzero(unc[lo:])
         if full:
             arrivals = sink[:c]
-            tally.sink_arrivals += arrivals.sum()
+            tally.sink_arrivals += int(arrivals.sum())
             tally.collisions += np.count_nonzero(arrivals[lo:] >= 2)
             success = arrivals[lo:] == 1
             sink[0] = sink[c]

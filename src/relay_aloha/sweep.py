@@ -4,7 +4,8 @@ A sweep varies one axis (load, forwarding probability, erasure rates, or
 relay count) over an explicit value list while the remaining parameters
 stay fixed, and evaluates any subset of the available outputs per point.
 Output files are plain CSV with a header row, 10-significant-digit
-numbers, ``\\n`` line endings and ``#`` provenance comments, and are
+numbers, RFC 4180 quotes around a cell that holds a comma, a quote or a
+line break, ``\\n`` line endings and ``#`` provenance comments, and are
 byte-identical across runs of the same request.
 
 ``reproduce_figure`` emits four frozen diagnostic datasets:
@@ -63,7 +64,8 @@ class SweepSpec:
 
     ``values`` must be real numbers (not a string or bytes) in strictly
     increasing order, stored as a tuple; a value outside the axis's
-    domain (NaN, a bool, k = 2.5) only fills its row's ``error`` cell.
+    domain (NaN, a bool, k = 2.5) only fills its row's ``error`` cell;
+    a second NaN repeats the first, a ValueError like any repeat.
     No output may repeat (its columns would).  The ``eps`` axis sets the
     uplink and downlink erasure rates jointly.  The ``delta_star`` and
     ``s_star`` outputs optimize the forwarding probability at each row's
@@ -95,7 +97,9 @@ class SweepSpec:
                 f"values must be real numbers, got {self.values!r}")
         if not values:
             raise ValueError("values must be non-empty")
-        if any(b <= a for a, b in zip(values, values[1:])):
+        # NaN compares false: a second one repeats the first
+        if (any(b <= a for a, b in zip(values, values[1:]))
+                or sum(v != v for v in values) > 1):
             raise ValueError("values must be strictly increasing")
         object.__setattr__(self, "values", values)
         if not self.outputs:
@@ -194,11 +198,16 @@ def _evaluate(
 
 
 def format_cell(v: object) -> str:
+    """One CSV cell; a cell holding ``,``, ``"`` or a line break is quoted
+    as RFC 4180 does (an inner ``"`` doubled), every other one is bare."""
     if isinstance(v, bool):
         return str(int(v))
     if isinstance(v, float):
         return f"{v:.10g}"
-    return str(v)
+    s = str(v)
+    if any(ch in s for ch in ',"\r\n'):
+        return '"' + s.replace('"', '""') + '"'
+    return s
 
 
 def write_csv(

@@ -2,12 +2,15 @@
 its stated tolerance, printing one pass/fail line per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The simulator oracle
-sweep (criterion 9) dominates the runtime at a few minutes; everything
-else finishes in seconds.
+sweep (criterion 9) dominates the runtime at over a minute and is marked
+``slow`` (``-m "not slow"`` leaves it out); everything else finishes in
+seconds.
 """
 
 import math
 import time
+
+import pytest
 
 from conftest import GRID_EPS_U, bound_grid, full_grid
 
@@ -207,6 +210,7 @@ def test_c08_h_kernel_recursion_vs_direct_series():
                   f"H1/H2 identities hold={identities}")
 
 
+@pytest.mark.slow
 def test_c09_simulator_against_analytic_model_on_the_grid():
     t0 = time.perf_counter()
     grid = full_grid()

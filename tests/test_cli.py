@@ -280,7 +280,15 @@ class TestSweepCommand:
         write_csv(want, columns_for(spec), run_sweep(spec),
                   sweep_comments(spec))
         assert (code, out) == (0, want.getvalue())
-        assert out.endswith(",k must be an integer, got 2.5\n")
+        assert out.endswith(',"k must be an integer, got 2.5"\n')
+        # the quoted error cell keeps the columns: DictReader would file a
+        # ninth field under None, a missing one as None
+        rows = parse_csv(out)
+        for row in rows:
+            assert len(row) == 8 and None not in row
+            assert None not in row.values()
+        assert [r["error"] for r in rows] == [
+            "", "k must be an integer, got 2.5"]
 
     def test_repeated_output_is_a_domain_error(self, capsys):
         code, out, err = run_cli(

@@ -25,7 +25,8 @@ from relay_aloha import (
 from relay_aloha.kernels import poisson_table
 from relay_aloha.model import _decode_table
 from relay_aloha.simulate import (
-    _CHUNK, _TAIL, _TRACE_LAYOUT, _Z95, _Tally, _occupancy,
+    _BITS, _CHUNK, _TAIL, _TRACE_LAYOUT, _Z95, _Tally, _Thresholds,
+    _occupancy,
 )
 
 
@@ -382,18 +383,38 @@ def replay(cfg):
     )
 
 
+REPLAY_PARAMS = SystemParams(1.7, 3, 0.3, 0.2, 0.6)
+
+
 class TestStreaming:
     @pytest.mark.parametrize("mode", ["full_system", MODE_BOUND])
-    @pytest.mark.parametrize("warmup, n_slots", [
-        (1, 2 * _CHUNK - 1),                    # window starts in chunk 0
-        (2 * _CHUNK + 777, _CHUNK + 4321),      # warmup ends in chunk 2
-        (5, 37),                                # one short chunk
-        (368, 40_000),                          # a batch ends with chunk 0
+    @pytest.mark.parametrize("warmup, n_slots, params", [
+        # window starts in chunk 0
+        pytest.param(1, 2 * _CHUNK - 1, REPLAY_PARAMS, id="1-65535"),
+        # warmup ends in chunk 2
+        pytest.param(2 * _CHUNK + 777, _CHUNK + 4321, REPLAY_PARAMS,
+                     id="66313-37089"),
+        pytest.param(5, 37, REPLAY_PARAMS, id="5-37"),  # one short chunk
+        # a batch ends with chunk 0
+        pytest.param(368, 40_000, REPLAY_PARAMS, id="368-40000"),
+        # eps_u = 0: a lone packet always decodes, a threshold of exactly
+        # 2^24 (and with delta = 1, eps_d = 0, so do forwards and
+        # arrivals); odd chunk tails split a relay pair's words
+        pytest.param(3, _CHUNK + 1000, SystemParams(1.3, 1, 0.0, 0.2, 0.6),
+                     id="k1-eps_u0"),
+        pytest.param(2, 2 * _CHUNK + 7, SystemParams(0.9, 2, 0.0, 0.0, 1.0),
+                     id="k2-eps_u0-delta1"),
+        pytest.param(4, 1001, SystemParams(2.0, 8, 0.0, 0.3, 0.5),
+                     id="k8-eps_u0"),
+        # g = 0: one class and no CDF step
+        pytest.param(6, _CHUNK + 3, SystemParams(0.0, 8, 0.3, 0.3, 0.5),
+                     id="k8-g0"),
+        pytest.param(1, 99, SystemParams(0.0, 1, 0.0, 0.0, 1.0),
+                     id="k1-g0-eps_u0"),
     ])
-    def test_matches_whole_run_replay(self, mode, warmup, n_slots):
-        cfg = SimConfig(params=SystemParams(1.7, 3, 0.3, 0.2, 0.6),
-                        n_slots=n_slots, warmup_slots=warmup, seed=41,
-                        stream_id=3, mode=mode)
+    def test_matches_whole_run_replay(self, mode, warmup, n_slots, params):
+        cfg = SimConfig(params=params, n_slots=n_slots, warmup_slots=warmup,
+                        seed=41, stream_id=3, mode=mode)
         st = simulate(cfg)
         for name, want in replay(cfg).items():
             assert getattr(st, name) == want, name
@@ -550,3 +571,71 @@ class TestStreaming:
         with pytest.raises(ValueError, match="k must be an integer"):
             simulate(SimConfig(params=SystemParams(1.4, k, 0.3, 0.3, 0.8),
                                n_slots=100))
+
+
+class TestNumpyRules:
+    """The numpy rules by which ``simulate`` reads raw Philox words.
+
+    A numpy release that changes either one fails here by name, not only
+    in the pinned SimStats.
+    """
+
+    def test_float64_is_the_top_53_bits_of_a_word(self):
+        gen = rng_substream(41, 3)
+        words = rng_substream(41, 3).bit_generator
+        for n in (1, 5, 8, 7, 2, _CHUNK + 3):
+            want = (words.random_raw(n) >> 11) * 2.0**-53
+            assert np.array_equal(gen.random(n), want), (
+                f"Generator.random() is no longer (w >> 11) 2^-53 (n={n})")
+
+    def test_float32_is_the_top_24_bits_of_a_half_low_half_first(self):
+        gen = rng_substream(41, 3)
+        words = rng_substream(41, 3).bit_generator
+        halves = np.empty(0, dtype=np.uint32)  # drawn, not yet used
+        for n in (1, 4, 7, 2, 9, 8, _CHUNK + 1):
+            more = words.random_raw((n - halves.size + 1) // 2)
+            halves = np.concatenate([halves, more.astype("<u8").view("<u4")])
+            want = (halves[:n] >> 8).astype(np.float32) * np.float32(2**-24)
+            halves = halves[n:]
+            got = gen.random(n, dtype=np.float32)
+            assert got.dtype == np.float32 and np.array_equal(got, want), (
+                "random(dtype=float32) is no longer (h >> 8) 2^-24 of the "
+                f"next 32-bit half, low half first (n={n})")
+
+
+class TestThresholds:
+    @pytest.mark.parametrize("g", [0.0, 1e-9, 0.25, 2.0, 8.0, 300.0, 690.0])
+    @pytest.mark.parametrize("eps_u", [0.0, 0.3, 0.999, 1.0])
+    def test_bucket_lookup_is_exact(self, g, eps_u):
+        cdf = _occupancy(g, eps_u)[0]
+        edges = np.arange(1 << _BITS, dtype=np.uint64) << np.uint64(
+            64 - _BITS)
+        # the words whose uniform is the first at or above each CDF value
+        steps = np.ceil(cdf[cdf < 1.0] * 2.0**53).astype(
+            np.uint64) << np.uint64(11)
+        words = np.concatenate([
+            edges, edges - np.uint64(1),  # the first is 2^64 - 1
+            steps, steps - np.uint64(1 << 11),
+            rng_substream(11, 12).bit_generator.random_raw(100_000),
+        ])
+        look = _Thresholds(SystemParams(g, 3, eps_u, 0.3, 0.6), True,
+                           words.size)
+        got = np.empty((3, words.size), dtype=np.uint32)
+        look(words, got)
+        u = (words >> 11) * 2.0**-53
+        want = look.tables[:, np.searchsorted(look.cdf, u, side="right")]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("eps_u", [0.0, 0.3, 0.999, 1.0])
+    def test_integer_thresholds_decide_as_float32_uniforms(self, eps_u):
+        # m < ceil(t 2^24) exactly when the float32 uniform m 2^-24 < t
+        p = SystemParams(2.0, 3, eps_u, 0.3, 0.6)
+        _, p_dec = _occupancy(p.g, p.eps_u)
+        t = np.array([p_dec, p_dec * p.delta,
+                      p_dec * (p.delta * (1.0 - p.eps_d))], dtype=np.float32)
+        n = _Thresholds(p, True, 1).tables.astype(np.int64)
+        assert n.max() <= 2**24
+        below = (n - 1).astype(np.float32) * np.float32(2**-24)
+        at = n.astype(np.float32) * np.float32(2**-24)
+        assert np.all((below < t)[n > 0])
+        assert np.all((at >= t)[n < 2**24])

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -63,6 +64,21 @@ class TestSweepSpec:
                             outputs=outputs) | bad
                 with pytest.raises(ValueError, match=match):
                     SweepSpec(**args)
+
+    def test_a_second_nan_is_a_repeated_value(self):
+        # NaN compares false, so only a count tells two of them apart
+        for values in [(math.nan, math.nan), (1.0, math.nan, 2.0, math.nan),
+                       (math.nan, 1.0, float("nan"))]:
+            with pytest.raises(ValueError,
+                               match="values must be strictly increasing"):
+                SweepSpec(axis="g", values=values, fixed=FIXED)
+
+    def test_a_single_nan_keeps_its_own_error_row(self):
+        spec = SweepSpec(axis="g", values=(1.0, math.nan), fixed=FIXED)
+        first, second = run_sweep(spec)
+        assert first["error"] == ""
+        assert second == {"error": "g must be finite and in [0, 1e+09], "
+                                   "got nan"}
 
     def test_values_are_stored_as_a_tuple(self):
         for values in [[1, 2.5], (x for x in (1, 2.5)),
@@ -228,6 +244,19 @@ class TestCsvWriting:
         assert format_cell(0.15000000000000002) == "0.15"
         assert format_cell(3) == "3"
         assert format_cell("") == ""
+
+    def test_cells_with_a_separator_or_quote_are_quoted(self):
+        assert format_cell("k must be an integer, got 2.5") == (
+            '"k must be an integer, got 2.5"')
+        assert format_cell('say "hi"') == '"say ""hi"""'
+        assert format_cell("two\nlines") == '"two\nlines"'
+        assert format_cell("closed_form") == "closed_form"
+        buf = io.StringIO()
+        cells = ["a, b", 'q"q', "x\ny", "plain", 1.5]
+        write_csv(buf, ["c1", "c2", "c3", "c4", "c5"], [dict(
+            zip(["c1", "c2", "c3", "c4", "c5"], cells))])
+        (row,) = list(csv.DictReader(io.StringIO(buf.getvalue())))
+        assert list(row.values()) == ["a, b", 'q"q', "x\ny", "plain", "1.5"]
 
     def test_byte_identical_output(self):
         spec = SweepSpec(
