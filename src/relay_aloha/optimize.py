@@ -5,7 +5,9 @@ count), the channel load g, and the relay count k itself.  Throughput as
 a function of delta is a degree-k polynomial, and as a function of g it
 shows a single dominant peak but unimodality is unproven, so both scalar
 searches go coarse-grid-first and only then refine the best bracket by
-golden section.  All searches are deterministic.
+golden section.  All searches are deterministic.  The two-relay
+peak-load closed forms in ``model`` (``delta_star_k2``, ``s_star_k2``)
+are references the delta search is tested against; no k is special.
 """
 
 from __future__ import annotations
@@ -17,13 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kernels import G_MAX, integer_arg, real_arg
-from .model import (
-    SystemParams,
-    _curve,
-    _delta_curve,
-    delta_star_k2,
-    peak_load,
-)
+from .model import SystemParams, _curve, _delta_curve, peak_load
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -50,7 +46,7 @@ class OptimizationResult:
 
     arg_star: float | int
     value_star: float
-    method: str  # "closed_form_k2" | "grid_golden" | "exhaustive_k"
+    method: str  # "grid_golden" | "exhaustive_k"
     evaluations: int
     arg_tol: float = field(default=ARG_TOL, init=False)
     per_k: tuple[float, ...] | None = None
@@ -109,21 +105,12 @@ def optimize_delta(
 ) -> OptimizationResult:
     """Maximize throughput over the forwarding probability delta in [0, 1].
 
-    For two relays at peak load the stationary point is known in closed
-    form and is used directly (the generic search agrees within
-    ``ARG_TOL``).  Every value is ``throughput`` at the same delta, bit
-    for bit.
+    One search for every relay count and load, the same grid + golden
+    section as the other knobs.  For two relays at peak load it lands
+    within ``ARG_TOL`` of the closed form ``delta_star_k2``.  Every value
+    is ``throughput`` at the same delta, bit for bit.
     """
-    p = SystemParams(g, k, eps_u, eps_d, 0.0)
-    curve = _delta_curve(p)
-    if (
-        p.k == 2
-        and p.eps_d < 1.0
-        and p.eps_u < 1.0
-        and math.isclose(p.g, peak_load(p.eps_u), rel_tol=1e-12)
-    ):
-        ds = delta_star_k2(p.eps_u, p.eps_d)
-        return OptimizationResult(ds, curve(ds).value, "closed_form_k2", 1)
+    curve = _delta_curve(SystemParams(g, k, eps_u, eps_d, 0.0))
     d_star, v_star, evals = _grid_then_golden(
         lambda d: curve(d).value, _DELTA_GRID, ARG_TOL
     )

@@ -221,8 +221,10 @@ class _Tally:
         """The run's SimStats; ``rng_layout`` names the route's draws."""
         cfg = self.config
         n = cfg.n_slots
-        means = (np.diff(self.at_ends, prepend=0)
-                 / np.diff(self.ends, prepend=0))
+        counts, sizes = self.at_ends.copy(), self.ends.copy()
+        counts[1:] -= self.at_ends[:-1]
+        sizes[1:] -= self.ends[:-1]
+        means = counts / sizes
         return SimStats(
             delivered_packets=self.delivered,
             measured_slots=n,

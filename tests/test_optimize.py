@@ -13,15 +13,7 @@ from relay_aloha import (
     throughput,
     throughput_series,
 )
-from relay_aloha.model import _delta_curve
-from relay_aloha.optimize import ARG_TOL, _DELTA_GRID, _grid_then_golden
-
-
-def generic_delta_search(g, k, eps_u, eps_d):
-    """optimize_delta's grid + golden section, without the k = 2
-    peak-load shortcut: (delta*, S*, evaluations)."""
-    curve = _delta_curve(SystemParams(g, k, eps_u, eps_d, 0.0))
-    return _grid_then_golden(lambda d: curve(d).value, _DELTA_GRID, ARG_TOL)
+from relay_aloha.optimize import ARG_TOL
 
 
 class TestOptimizeDelta:
@@ -33,26 +25,25 @@ class TestOptimizeDelta:
         assert r.method == "grid_golden"
 
     def test_clean_two_relay_peak_load(self):
-        d_star, s_star, _ = generic_delta_search(1.0, 2, 0.0, 0.0)
-        assert d_star == pytest.approx(0.5, abs=1e-6)
-        assert s_star == pytest.approx(1 / (2 * math.e), abs=1e-8)
+        r = optimize_delta(1.0, 2, 0.0, 0.0)
+        assert r.arg_star == pytest.approx(0.5, abs=1e-6)
+        assert r.value_star == pytest.approx(1 / (2 * math.e), abs=1e-8)
 
-    def test_shortcut_reports_its_method(self):
+    def test_two_relays_at_peak_load_take_the_one_search(self):
+        # the one search, within ARG_TOL of the closed-form vertex
         r = optimize_delta(peak_load(0.3), 2, 0.3, 0.3)
-        assert r.method == "closed_form_k2"
-        assert r.arg_star == delta_star_k2(0.3, 0.3)
+        assert r.method == "grid_golden"
+        assert abs(r.arg_star - delta_star_k2(0.3, 0.3)) <= ARG_TOL
 
     def test_numeric_agrees_with_closed_form_grid(self):
-        # the spot checks the generic search against the closed-form
-        # optimum across the (eps_u, eps_d) lattice
+        # the search against the closed-form optimum across the
+        # (eps_u, eps_d) lattice
         for iu in range(10):
             for id_ in range(10):
                 eu, ed = iu / 10, id_ / 10
-                d_star, s_star, _ = generic_delta_search(
-                    peak_load(eu), 2, eu, ed
-                )
-                assert abs(d_star - delta_star_k2(eu, ed)) <= ARG_TOL
-                assert abs(s_star - s_star_k2(eu, ed)) <= 1e-8
+                r = optimize_delta(peak_load(eu), 2, eu, ed)
+                assert abs(r.arg_star - delta_star_k2(eu, ed)) <= ARG_TOL
+                assert abs(r.value_star - s_star_k2(eu, ed)) <= 1e-8
 
     def test_against_dense_grid_oracle(self):
         # independent oracle: exhaustive 1e-4-step scan of the series path
@@ -75,10 +66,12 @@ class TestOptimizeDelta:
         assert r.value_star >= grid_best
 
     def test_value_matches_analytic_at_argument(self):
-        for (g, k, eu, ed) in [(1.0, 3, 0.3, 0.1), (2.5, 2, 0.6, 0.4)]:
+        # the last case is k = 2 at peak load with an interior delta*
+        for (g, k, eu, ed) in [(1.0, 3, 0.3, 0.1), (2.5, 2, 0.6, 0.4),
+                               (peak_load(0.1), 2, 0.1, 0.1)]:
             r = optimize_delta(g, k, eu, ed)
             at_arg = throughput(SystemParams(g, k, eu, ed, r.arg_star)).value
-            assert abs(r.value_star - at_arg) < 1e-12
+            assert r.value_star == at_arg
 
     @pytest.mark.parametrize(
         "g,k,eu,ed",
@@ -88,7 +81,7 @@ class TestOptimizeDelta:
     )
     def test_value_is_throughput_at_argument_bit_for_bit(self, g, k, eu, ed):
         # closed form (k = 8, 3; eps_u = 0), series (an estimate above
-        # 1e-12 at k = 25, 15; k > 32) and the k = 2 shortcut
+        # 1e-12 at k = 25, 15; k > 32) and k = 2 at peak load
         r = optimize_delta(g, k, eu, ed)
         at_arg = throughput(SystemParams(g, k, eu, ed, r.arg_star)).value
         assert r.value_star == at_arg
