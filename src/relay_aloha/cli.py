@@ -13,15 +13,7 @@ import os
 import sys
 
 from . import __version__
-from .model import (
-    SystemParams,
-    bound,
-    bound_closed,
-    bound_series,
-    throughput,
-    throughput_closed,
-    throughput_series,
-)
+from .model import SystemParams, bound, throughput
 from .optimize import (
     DEFAULT_G_MAX,
     DEFAULT_K_MAX,
@@ -51,7 +43,6 @@ _PARAMS = {  # name: (type, default when optional, help)
     "eps_d": (float, 0.0, "downlink erasure probability"),
     "delta": (float, 1.0, "forwarding probability"),
 }
-_METHOD = dict(choices=("auto", "closed", "series"), default="auto")
 
 
 def _params(names: str = "g k eps_u eps_d delta",
@@ -87,9 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     command("eval", _eval, "end-to-end throughput at one point",
-            **_params(), method=_METHOD)
+            **_params())
     command("bound", _bound, "upper-bound throughput at one point",
-            **_params("g k eps_u"), method=_METHOD)
+            **_params("g k eps_u"))
     command("optimize-delta", _optimize_delta,
             "best forwarding probability at fixed load",
             **_params("g k eps_u eps_d"))
@@ -132,8 +123,7 @@ def _emit_row(args, row, *comments) -> None:
 
 def _eval(args) -> None:
     params = SystemParams(args.g, args.k, args.eps_u, args.eps_d, args.delta)
-    r = {"closed": throughput_closed, "series": throughput_series}.get(
-        args.method, throughput)(params)
+    r = throughput(params)
     _emit_row(args, {
         "g": params.g, "k": params.k, "eps_u": params.eps_u,
         "eps_d": params.eps_d, "delta": params.delta,
@@ -143,8 +133,7 @@ def _eval(args) -> None:
 
 
 def _bound(args) -> None:
-    r = {"closed": bound_closed, "series": bound_series}.get(
-        args.method, bound)(args.g, args.k, args.eps_u)
+    r = bound(args.g, args.k, args.eps_u)
     _emit_row(args, {
         "g": args.g, "k": args.k, "eps_u": args.eps_u,
         "s_bound": r.value, "s_bound_err": r.est_abs_error,

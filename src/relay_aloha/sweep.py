@@ -37,8 +37,6 @@ from .model import (
     peak_load,
     s_star_k2,
     throughput,
-    throughput_closed,
-    throughput_series,
 )
 from .optimize import OptimizationResult, optimize_delta
 from .simulate import (
@@ -46,8 +44,7 @@ from .simulate import (
 )
 
 AXES = ("g", "delta", "eps", "eps_u", "eps_d", "k")
-OUTPUTS = ("analytic", "closed", "series", "bound", "simulated",
-           "delta_star", "s_star")
+OUTPUTS = ("analytic", "bound", "simulated", "delta_star", "s_star")
 
 # A sweep row is one CSV record: parameter cells, one value and one error
 # cell per requested output, and an ``error`` cell for per-row failures.
@@ -175,10 +172,8 @@ def _evaluate(
     out: str, pt: SystemParams, spec: SweepSpec, stream_id: int,
     optimum: Callable[..., OptimizationResult],
 ) -> tuple[float, float]:
-    if out in ("analytic", "closed", "series", "bound"):
+    if out in ("analytic", "bound"):
         r = (throughput(pt) if out == "analytic"
-             else throughput_closed(pt) if out == "closed"
-             else throughput_series(pt) if out == "series"
              else bound(pt.g, pt.k, pt.eps_u))
         return r.value, r.est_abs_error
     if out == "simulated":

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from relay_aloha import (
-    RNG_ALGORITHM, RNG_LAYOUT, SweepSpec, SystemParams, __version__, run_sweep,
+    RNG_ALGORITHM, RNG_LAYOUT, SweepSpec, SystemParams, __version__, bound,
+    run_sweep, throughput,
 )
 from relay_aloha.cli import build_parser, cli_main
 from relay_aloha.sweep import columns_for, sweep_comments, write_csv
@@ -36,15 +37,29 @@ class TestEval:
         (row,) = parse_csv(out)
         assert row["s"] == "0.3678794412"
 
-    def test_methods_agree(self, capsys):
-        base = ["eval", "--g", "2", "--k", "3", "--eps-u", "0.4",
-                "--eps-d", "0.2", "--delta", "0.7"]
-        _, out_c, _ = run_cli(capsys, *base, "--method", "closed")
-        _, out_s, _ = run_cli(capsys, *base, "--method", "series")
-        (rc,), (rs,) = parse_csv(out_c), parse_csv(out_s)
-        assert float(rc["s"]) == pytest.approx(float(rs["s"]), abs=1e-9)
-        assert rc["method"] == "closed_form"
-        assert rs["method"] == "series"
+    @pytest.mark.parametrize("k,method", [("3", "closed_form"),
+                                          ("33", "series")])
+    def test_eval_and_bound_report_the_dispatched_path(
+            self, capsys, k, method):
+        point = ["--g", "2", "--k", k, "--eps-u", "0.4"]
+        code_e, out_e, _ = run_cli(capsys, "eval", *point,
+                                   "--eps-d", "0.2", "--delta", "0.7")
+        code_b, out_b, _ = run_cli(capsys, "bound", *point)
+        assert code_e == code_b == 0
+        (row_e,), (row_b,) = parse_csv(out_e), parse_csv(out_b)
+        for row, want in (
+                (row_e, throughput(SystemParams(2.0, int(k), 0.4, 0.2, 0.7))),
+                (row_b, bound(2.0, int(k), 0.4))):
+            assert row["method"] == want.method == method
+            assert row["terms"] == str(want.terms_used)
+
+    def test_method_is_not_an_option(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eval", "--g", "2", "--k", "3", "--eps-u", "0.4",
+            "--eps-d", "0.2", "--delta", "0.7", "--method", "closed",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: relay-aloha")
 
     def test_out_writes_what_stdout_gets(self, capsys, tmp_path):
         argv = ["eval", "--g", "2", "--k", "3", "--eps-u", "0.4",
@@ -63,25 +78,15 @@ class TestEval:
         assert "eps_u" in err
 
     @pytest.mark.parametrize("g", ["1e300", "1000000000.0000001"])
-    @pytest.mark.parametrize("method", ["auto", "series"])
-    def test_load_above_the_table_limit(self, capsys, g, method):
+    def test_load_above_the_table_limit(self, capsys, g):
         code, out, err = run_cli(
             capsys, "eval", "--g", g, "--k", "25", "--eps-u", "0.3",
-            "--eps-d", "0.3", "--delta", "0.5", "--method", method,
+            "--eps-d", "0.3", "--delta", "0.5",
         )
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("relay-aloha: error: g must be finite")
-
-    def test_closed_method_at_singular_point(self, capsys):
-        # eps_u = 0 is in the closed form's domain; k = 33 is not
-        code, _, err = run_cli(
-            capsys, "eval", "--g", "1", "--k", "33", "--eps-u", "0",
-            "--eps-d", "0", "--delta", "1", "--method", "closed",
-        )
-        assert code == 1
-        assert "closed form needs k <= 32, got 33" in err
 
 
 class TestUsageErrors:
@@ -109,7 +114,7 @@ class TestUsageErrors:
         # --k is no optimize-k flag and must not be read as --k-max
         ["optimize-k", "--eps-u", "0.3", "--eps-d", "0.3", "--k", "4"],
         ["eval", "--g", "1", "--k", "1", "--eps-u", "0", "--eps-d", "0",
-         "--delta", "1", "--meth", "closed"],
+         "--delt", "1"],
         ["--vers"],
     ])
     def test_abbreviated_flags_are_usage_errors(self, capsys, argv):
@@ -240,12 +245,15 @@ class TestSimulateCommand:
         assert float(row["estimate"]) == pytest.approx(0.6312, abs=0.02)
 
     def test_bad_slots_is_domain_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, "simulate", "--g", "1", "--k", "1", "--eps-u", "0",
-            "--eps-d", "0", "--delta", "1", "--slots", "0",
-        )
-        assert code == 1
-        assert "n_slots" in err
+        # past 2^63 - 1 too: the batch ends are int64
+        for slots in ("0", str(2**63), "1" + "0" * 30):
+            code, out, err = run_cli(
+                capsys, "simulate", "--g", "1", "--k", "1", "--eps-u", "0",
+                "--eps-d", "0", "--delta", "1", "--slots", slots,
+            )
+            assert (code, out) == (1, "")
+            assert err == ("relay-aloha: error: n_slots must be in "
+                           f"1..{2**63 - 1}, got {slots}\n")
 
 
 class TestSweepCommand:
@@ -300,10 +308,12 @@ class TestSweepCommand:
         assert "repeated" in err
 
     @pytest.mark.parametrize("flags,message", [
-        (["--slots", "0"], "n_slots must be >= 1, got 0"),
+        (["--slots", "0"], f"n_slots must be in 1..{2**63 - 1}, got 0"),
         (["--warmup", "0"], "warmup_slots must be >= 1, got 0"),
         (["--seed", "-1"],
          "seed must be in 0..18446744073709551615, got -1"),
+        (["--slots", "1" + "0" * 30],
+         f"n_slots must be in 1..{2**63 - 1}, got 1{'0' * 30}"),
     ])
     @pytest.mark.parametrize("outputs", ["simulated", "analytic"])
     def test_bad_simulation_settings_are_domain_errors(
@@ -318,12 +328,15 @@ class TestSweepCommand:
         assert not path.exists()
 
     def test_unknown_output(self, capsys):
-        code, _, err = run_cli(
-            capsys, "sweep", "--axis", "g", "--values", "1,2",
-            "--outputs", "nope",
-        )
-        assert code == 1
-        assert "nope" in err
+        # no output forces an evaluation path past the dispatch rule
+        for name in ("nope", "closed", "series"):
+            code, out, err = run_cli(
+                capsys, "sweep", "--axis", "g", "--values", "1,2",
+                "--outputs", f"analytic,{name}",
+            )
+            assert (code, out) == (1, "")
+            assert err.startswith(
+                f"relay-aloha: error: unknown output {name!r}; choices: ")
 
 
 class TestReproduceCommand:

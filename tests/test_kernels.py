@@ -241,7 +241,7 @@ class TestSeriesTruncation:
             with pytest.raises(ValueError):
                 poisson_table(1.0, tol)
 
-    def test_default_cap_scales_with_load(self):
+    def test_cut_scales_with_load(self):
         # each side ends at the first count past the mode where both
         # P[N = n] and the geometric bound on the mass beyond are < tol
         def done(w, beyond):

@@ -225,7 +225,7 @@ class TestThroughputClosed:
             0.2857131715878393, abs=1e-10
         )
 
-    def test_singularity_below_eps_floor(self):
+    def test_zero_uplink_erasure_is_in_the_domain(self):
         # eps_u = 0 is in the domain: the eps_u^-m factors cancel in the
         # kernels; the one domain error left is the Touchard table's order
         r = throughput_closed(SystemParams(1.0, 2, 0.0, 0.0, 1.0))
@@ -233,7 +233,7 @@ class TestThroughputClosed:
         with pytest.raises(ValueError, match="k <= 32, got 33"):
             throughput_closed(SystemParams(1.0, 33, 0.0, 0.0, 1.0))
 
-    def test_unstable_above_k_cap(self):
+    def test_k_past_the_touchard_table(self):
         r = throughput_closed(SystemParams(1.0, 21, 0.3, 0.0, 1.0))
         assert r.method == "closed_form" and math.isfinite(r.est_abs_error)
         with pytest.raises(ValueError, match="closed form needs k <= 32"):
@@ -243,7 +243,7 @@ class TestThroughputClosed:
 
 
 class TestDispatch:
-    def test_series_path_at_zero_uplink_erasure(self):
+    def test_closed_path_at_zero_uplink_erasure(self):
         # both relays always decode the same lone packet and always
         # collide at the sink when delta = 1
         r = throughput(SystemParams(1.0, 2, 0.0, 0.0, 1.0))
@@ -254,7 +254,7 @@ class TestDispatch:
         r = throughput(SystemParams(1.0, 2, 0.3, 0.3, 1.0))
         assert r.method == "closed_form"
 
-    def test_paths_agree_just_above_the_floor(self):
+    def test_paths_agree_at_small_uplink_erasure(self):
         for eps_u in (0.0, 1e-9, 2e-6):
             p = SystemParams(1.0, 3, eps_u, 0.1, 0.8)
             assert throughput_closed(p).value == pytest.approx(

@@ -158,6 +158,15 @@ class TestSimulateBasics:
             with pytest.raises(ValueError, match="stream_id must be in"):
                 SimConfig(params=p, n_slots=10, stream_id=stream_id)
 
+    def test_n_slots_fits_the_int64_batch_ends(self):
+        # past 2^63 - 1 the batch ends would wrap (2^63 read as -2^63)
+        p = SystemParams(1.0, 1, 0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="n_slots must be in 1.."):
+            SimConfig(params=p, n_slots=2**63)
+        tally = _Tally(SimConfig(params=p, n_slots=2**63 - 1))
+        assert tally.ends.dtype == np.int64
+        assert int(tally.ends[-1]) == 2**63 - 1
+
     @pytest.mark.parametrize(
         "field", ["n_slots", "warmup_slots", "seed", "stream_id"]
     )

@@ -50,7 +50,8 @@ class TestSweepSpec:
         # the simulation settings and ``fixed`` are checked by SimConfig's
         # rules, whatever the outputs
         for bad, match in [
-            (dict(n_slots=0), "n_slots must be >= 1, got 0"),
+            (dict(n_slots=0), f"n_slots must be in 1..{2**63 - 1}, got 0"),
+            (dict(n_slots=2**63), f"n_slots must be in 1..{2**63 - 1}, got"),
             (dict(n_slots=2.5), "n_slots must be an integer, got 2.5"),
             (dict(warmup_slots=0), "warmup_slots must be >= 1, got 0"),
             (dict(seed=-1), "seed must be in 0..18446744073709551615"),
@@ -141,21 +142,32 @@ class TestRunSweep:
         assert "k" not in rows[1]
         assert rows[1]["error"] == "k must be an integer, got 2.5"
 
-    def test_failing_output_fills_the_error_cell(self):
-        spec = SweepSpec(
-            axis="k", values=(2, 33), fixed=FIXED, outputs=("closed",)
-        )
+    def test_failing_output_fills_the_error_cell(self, monkeypatch):
+        # no output fails on a valid row, so make one: analytic at k = 3
+        def throughput(pt):
+            if pt.k == 3:
+                raise ValueError("no value at k = 3")
+            return real(pt)
+
+        real = sweep.throughput
+        monkeypatch.setattr(sweep, "throughput", throughput)
+        spec = SweepSpec(axis="k", values=(2, 3, 4), fixed=FIXED,
+                         outputs=("analytic", "bound"))
         rows = run_sweep(spec)
-        assert rows[0]["error"] == ""
-        assert 0.0 <= rows[0]["closed"] <= 1.0
-        assert rows[1]["closed"] == ""
-        assert "k <= 32, got 33" in rows[1]["error"]
+        assert rows[1]["analytic"] == rows[1]["analytic_err"] == ""
+        assert rows[1]["error"] == "analytic: no value at k = 3"
+        assert 0.0 <= rows[1]["bound"] <= 1.0
+        for row in rows[::2]:
+            assert row["error"] == ""
+            assert 0.0 <= row["analytic"] <= row["bound"] <= 1.0
+            assert row["analytic"] == real(
+                SystemParams(1.0, row["k"], 0.0, 0.0, 1.0)).value
 
     def test_every_present_numeric_cell_is_finite(self):
         spec = SweepSpec(
             axis="g", values=(0.0, 1.0, 4.0),
             fixed=SystemParams(1.0, 2, 0.3, 0.3, 0.7),
-            outputs=("analytic", "series", "bound", "delta_star", "s_star"),
+            outputs=("analytic", "bound", "delta_star", "s_star"),
         )
         for row in run_sweep(spec):
             assert row["error"] == ""
