@@ -229,6 +229,10 @@ def cli_main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"relay-aloha: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # e.g. numpy's per-relay arrays at a huge k
+        print(f"relay-aloha: error: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # downstream reader (e.g. head) closed stdout; silence the
         # interpreter's shutdown flush and exit like a signalled process

@@ -51,9 +51,10 @@ _SUBNORMAL_STEP = 2.0**-1074
 
 
 def _check_uplink(g, k, eps_u) -> tuple[float, int, float]:
-    """The one check of (g, k, eps_u): g in [0, G_MAX], an integer k >= 1
-    and eps_u in [0, 1], returned as ``(float, int, float)``."""
-    return (real_arg("g", g, 0.0, G_MAX), integer_arg("k", k, 1),
+    """The one check of (g, k, eps_u): g in [0, G_MAX], an integer k in
+    1..2^53 (every formula takes k as a float, exact up to 2^53) and
+    eps_u in [0, 1], returned as ``(float, int, float)``."""
+    return (real_arg("g", g, 0.0, G_MAX), integer_arg("k", k, 1, 2**53),
             real_arg("eps_u", eps_u, 0.0, 1.0))
 
 

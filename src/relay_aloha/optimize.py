@@ -126,14 +126,12 @@ def optimize_load(
 ) -> OptimizationResult:
     """Maximize throughput over the channel load g in (0, g_max].
 
-    Hybrid grid: geometric spacing resolves the small-g region where the
-    curve rises steeply, linear spacing covers the rest.
+    One geometric grid from 1e-4 min(g_max, 1) to g_max: its floor lies
+    below the rising part of S(g) for every g_max.
     """
     g_max = real_arg("g_max", g_max, 0.0, G_MAX, open_lo=True)
-    half = LOAD_GRID_POINTS // 2
-    geo = np.geomspace(g_max * 1e-4, g_max, half)
-    lin = np.linspace(g_max / half, g_max, half)
-    grid = [float(x) for x in np.unique(np.concatenate([geo, lin]))]
+    grid = np.geomspace(1e-4 * min(g_max, 1.0), g_max,
+                        LOAD_GRID_POINTS).tolist()
 
     p = SystemParams(g_max, k, eps_u, eps_d, delta)  # every grid load fits
 
@@ -155,9 +153,9 @@ def optimize_k(
 
     ``g=None`` applies the peak-load rule g = 1/(1-eps_u); a float fixes
     the load for every k (``g`` is keyword-only).  Ties break toward
-    fewer relays.  A non-integer or bool ``k_max`` is a ValueError.
+    fewer relays.  ``k_max``, like k, must be an integer in 1..2^53.
     """
-    k_max = integer_arg("k_max", k_max, 1)
+    k_max = integer_arg("k_max", k_max, 1, 2**53)
     g_eff = (peak_load(eps_u) if g is None
              else real_arg("g", g, 0.0, G_MAX, open_lo=True))
     runs = [optimize_delta(g_eff, k, eps_u, eps_d)

@@ -78,9 +78,10 @@ class SimConfig:
     ``warmup_slots`` must be at least 1 in the full-system mode so the
     first measured slot can receive forwards from its predecessor.  In
     bound mode only the uplink is played and delta/eps_d are ignored.
-    The four integer fields are stored as ``int``, n_slots at most
-    2^63-1, seed and stream id in 0..2^64-1; a float or bool there, or
-    ``params`` not a :class:`SystemParams`, is a ValueError.
+    The four integer fields are stored as ``int``, n_slots and
+    warmup_slots at most 2^63-1, seed and stream id in 0..2^64-1; a
+    float or bool there, or ``params`` not a :class:`SystemParams`, is a
+    ValueError.
     """
 
     params: SystemParams
@@ -96,9 +97,9 @@ class SimConfig:
         if self.mode not in (MODE_FULL, MODE_BOUND):
             raise ValueError(f"unknown mode {self.mode!r}")
         w = 1 if self.mode == MODE_FULL else 0
-        # _Tally keeps batch ends as int64
+        # _Tally keeps batch ends as int64; warmup_slots shares the limit
         for name, lo, hi in (("n_slots", 1, _MASK64 >> 1),
-                             ("warmup_slots", w, None),
+                             ("warmup_slots", w, _MASK64 >> 1),
                              ("seed", 0, _MASK64), ("stream_id", 0, _MASK64)):
             object.__setattr__(
                 self, name, integer_arg(name, getattr(self, name), lo, hi))

@@ -77,6 +77,20 @@ class TestEval:
         assert code == 1
         assert "eps_u" in err
 
+    @pytest.mark.parametrize("command,flags", [
+        ("eval", ["--eps-d", "0.3", "--delta", "1"]),
+        ("bound", []),
+    ])
+    def test_relay_count_past_two_to_the_53(self, capsys, command, flags):
+        # k enters every formula as a float; a 400-digit k used to raise
+        # OverflowError in the series' rounding estimate
+        k = "9" * 400
+        code, out, err = run_cli(capsys, command, "--g", "1", "--k", k,
+                                 "--eps-u", "0.3", *flags)
+        assert (code, out) == (1, "")
+        assert err == (f"relay-aloha: error: k must be in 1..{2**53}, "
+                       f"got {k}\n")
+
     @pytest.mark.parametrize("g", ["1e300", "1000000000.0000001"])
     def test_load_above_the_table_limit(self, capsys, g):
         code, out, err = run_cli(
@@ -255,6 +269,37 @@ class TestSimulateCommand:
             assert err == ("relay-aloha: error: n_slots must be in "
                            f"1..{2**63 - 1}, got {slots}\n")
 
+    def test_huge_warmup_is_domain_error(self, capsys):
+        # it used to be accepted, then played warmup slots without end
+        code, out, err = run_cli(
+            capsys, "simulate", "--g", "1", "--k", "2", "--eps-u", "0.3",
+            "--eps-d", "0.3", "--delta", "1", "--slots", "10",
+            "--warmup", "1" + "0" * 30,
+        )
+        assert (code, out) == (1, "")
+        assert err == ("relay-aloha: error: warmup_slots must be in "
+                       f"1..{2**63 - 1}, got 1{'0' * 30}\n")
+
+    @pytest.mark.parametrize("exc,message", [
+        (MemoryError("Unable to allocate 745. GiB"),
+         "Unable to allocate 745. GiB"),
+        (MemoryError(), "out of memory"),
+    ])
+    def test_memory_error_is_domain_error(self, capsys, monkeypatch, exc,
+                                          message):
+        # numpy's per-relay arrays at a huge k raise MemoryError
+        def out_of_memory(config):
+            raise exc
+
+        monkeypatch.setattr("relay_aloha.cli.simulate", out_of_memory)
+        code, out, err = run_cli(
+            capsys, "simulate", "--g", "1", "--k", "100000000000",
+            "--eps-u", "0.3", "--eps-d", "0.3", "--delta", "1",
+            "--slots", "10",
+        )
+        assert (code, out) == (1, "")
+        assert err == f"relay-aloha: error: {message}\n"
+
 
 class TestSweepCommand:
     def test_basic_sweep(self, capsys):
@@ -309,11 +354,14 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("flags,message", [
         (["--slots", "0"], f"n_slots must be in 1..{2**63 - 1}, got 0"),
-        (["--warmup", "0"], "warmup_slots must be >= 1, got 0"),
+        (["--warmup", "0"],
+         f"warmup_slots must be in 1..{2**63 - 1}, got 0"),
         (["--seed", "-1"],
          "seed must be in 0..18446744073709551615, got -1"),
         (["--slots", "1" + "0" * 30],
          f"n_slots must be in 1..{2**63 - 1}, got 1{'0' * 30}"),
+        (["--warmup", "1" + "0" * 30],
+         f"warmup_slots must be in 1..{2**63 - 1}, got 1{'0' * 30}"),
     ])
     @pytest.mark.parametrize("outputs", ["simulated", "analytic"])
     def test_bad_simulation_settings_are_domain_errors(
@@ -326,6 +374,19 @@ class TestSweepCommand:
             assert (code, out) == (1, "")
             assert err == f"relay-aloha: error: {message}\n"
         assert not path.exists()
+
+    def test_relay_count_past_two_to_the_53_fills_its_error_cell(
+            self, capsys):
+        k = "9" * 400
+        code, out, err = run_cli(
+            capsys, "sweep", "--axis", "k", "--values", f"2,{k}",
+            "--eps-u", "0.3", "--eps-d", "0.3",
+        )
+        assert (code, err) == (0, "")
+        ok, bad = parse_csv(out)
+        assert ok["error"] == "" and ok["analytic"] != ""
+        assert bad["analytic"] == ""
+        assert bad["error"] == f"k must be in 1..{2**53}, got {k}"
 
     def test_unknown_output(self, capsys):
         # no output forces an evaluation path past the dispatch rule

@@ -192,7 +192,7 @@ def poisson_decimal(g, lo, hi, prec=50):
         return out
 
 
-class TestPoissonPmf:
+class TestPoissonTable:
     """The Poisson probabilities as :func:`poisson_table` tabulates them."""
 
     def test_empty_channel_certain_at_zero_load(self):
@@ -233,7 +233,7 @@ class TestPoissonPmf:
                 poisson_table(g, DEFAULT_TOL)
 
 
-class TestSeriesTruncation:
+class TestPoissonTableCut:
     """Where :func:`poisson_table` cuts the Poisson law off."""
 
     def test_validation(self):

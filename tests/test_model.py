@@ -69,8 +69,16 @@ class TestSystemParams:
 
     @pytest.mark.parametrize("k", [0, -1, np.int64(0)])
     def test_relay_count_below_one_rejected(self, k):
-        with pytest.raises(ValueError, match="k must be >= 1"):
+        with pytest.raises(ValueError, match=f"k must be in 1..{2**53}"):
             SystemParams(1.0, k, 0.3, 0.3, 1.0)
+
+    def test_relay_count_ends_at_two_to_the_53(self):
+        # every formula takes k as a float, exact up to 2^53
+        assert SystemParams(1.0, 2**53, 0.3, 0.3, 1.0).k == 2**53
+        for k in (2**53 + 1, 10**400):
+            with pytest.raises(ValueError,
+                               match=f"k must be in 1..{2**53}, got"):
+                SystemParams(1.0, k, 0.3, 0.3, 1.0)
 
     @pytest.mark.parametrize("field", ["eps_d", "delta"])
     @pytest.mark.parametrize("v", [-0.1, 1.5, math.inf])
@@ -500,7 +508,7 @@ def assert_within_estimate(result, ref, prec=80):
     )
 
 
-class TestClosedFormCapCertification:
+class TestClosedFormAtTwentyRelays:
     """At k = 20, where alternating cancellation is already large, the
     closed form is checked against an arbitrary-precision evaluation."""
 
@@ -512,7 +520,7 @@ class TestClosedFormCapCertification:
             (4.0, 0.9, 0.0, 1.0),
         ],
     )
-    def test_cap_error_within_budget(self, g, eu, ed, d):
+    def test_error_within_budget(self, g, eu, ed, d):
         p = SystemParams(g, 20, eu, ed, d)
         ref = closed_form_decimal(g, 20, eu, ed, d)
         assert abs(throughput_closed(p).value - float(ref)) < 1e-9

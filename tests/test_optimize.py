@@ -13,7 +13,8 @@ from relay_aloha import (
     throughput,
     throughput_series,
 )
-from relay_aloha.optimize import ARG_TOL
+from relay_aloha import optimize
+from relay_aloha.optimize import ARG_TOL, LOAD_GRID_POINTS
 
 
 class TestOptimizeDelta:
@@ -118,6 +119,29 @@ class TestOptimizeLoad:
         with pytest.raises(ValueError):
             optimize_load(1, 0.1, 0.1, 1.0, g_max=0.0)
 
+    @pytest.mark.parametrize("g_max", [1e4, 1e5, 1e9])
+    def test_large_g_max_keeps_the_peak(self, g_max):
+        # the grid's floor stays below the peak near 1/(1 - eps_u)
+        ref = optimize_load(2, 0.3, 0.3, 1.0, 8.0).value_star
+        r = optimize_load(2, 0.3, 0.3, 1.0, g_max)
+        assert r.value_star == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize("g_max", [1e-6, 0.5, 8.0, 1e9])
+    def test_grid_rises_to_g_max(self, monkeypatch, g_max):
+        grids, search = [], optimize._grid_then_golden
+
+        def spy(f, grid, xtol):
+            grids.append(grid)
+            return search(f, grid, xtol)
+
+        monkeypatch.setattr(optimize, "_grid_then_golden", spy)
+        optimize_load(2, 0.3, 0.3, 1.0, g_max)
+        (grid,) = grids
+        assert len(grid) == LOAD_GRID_POINTS
+        assert all(a < b for a, b in zip(grid, grid[1:]))
+        assert grid[0] <= 1e-4
+        assert grid[-1] == g_max
+
 
 class TestOptimizeK:
     def test_known_optima_at_peak_load(self):
@@ -165,3 +189,7 @@ class TestOptimizeK:
     def test_k_max_validation(self):
         with pytest.raises(ValueError):
             optimize_k(0.3, 0.3, k_max=0)
+        # the range of k
+        with pytest.raises(ValueError,
+                           match=f"k_max must be in 1..{2**53}, got"):
+            optimize_k(0.3, 0.3, k_max=2**53 + 1)

@@ -152,7 +152,8 @@ class TestSimulateBasics:
             SimConfig(params=p, n_slots=10, mode="nope")
         with pytest.raises(ValueError):
             SimConfig(params=p, n_slots=10, seed=-1)
-        with pytest.raises(ValueError, match="warmup_slots must be >= 0"):
+        with pytest.raises(ValueError,
+                           match=f"warmup_slots must be in 0..{2**63 - 1}"):
             SimConfig(params=p, n_slots=10, warmup_slots=-1, mode=MODE_BOUND)
         for stream_id in (-1, 1 << 64):
             with pytest.raises(ValueError, match="stream_id must be in"):
@@ -166,6 +167,15 @@ class TestSimulateBasics:
         tally = _Tally(SimConfig(params=p, n_slots=2**63 - 1))
         assert tally.ends.dtype == np.int64
         assert int(tally.ends[-1]) == 2**63 - 1
+
+    @pytest.mark.parametrize("mode,lo", [(MODE_FULL, 1), (MODE_BOUND, 0)])
+    def test_warmup_slots_is_bounded_as_n_slots(self, mode, lo):
+        p = SystemParams(1.0, 1, 0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match=f"warmup_slots must be in "
+                                             f"{lo}..{2**63 - 1}, got"):
+            SimConfig(params=p, n_slots=10, warmup_slots=2**63, mode=mode)
+        assert SimConfig(params=p, n_slots=10, warmup_slots=2**63 - 1,
+                         mode=mode).warmup_slots == 2**63 - 1
 
     @pytest.mark.parametrize(
         "field", ["n_slots", "warmup_slots", "seed", "stream_id"]

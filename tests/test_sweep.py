@@ -53,7 +53,8 @@ class TestSweepSpec:
             (dict(n_slots=0), f"n_slots must be in 1..{2**63 - 1}, got 0"),
             (dict(n_slots=2**63), f"n_slots must be in 1..{2**63 - 1}, got"),
             (dict(n_slots=2.5), "n_slots must be an integer, got 2.5"),
-            (dict(warmup_slots=0), "warmup_slots must be >= 1, got 0"),
+            (dict(warmup_slots=0),
+             f"warmup_slots must be in 1..{2**63 - 1}, got 0"),
             (dict(seed=-1), "seed must be in 0..18446744073709551615"),
             (dict(seed=2**64), "seed must be in 0.."),
             (dict(fixed=None), "params must be a SystemParams"),
