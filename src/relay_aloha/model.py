@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .kernels import (
     _UNIT_ROUNDOFF,
     DEFAULT_TOL,
@@ -48,6 +50,13 @@ _THROUGHPUT_WEIGHTS = tuple(
     tuple(m * w for m, w in enumerate(row, 1)) for row in _BOUND_WEIGHTS
 )
 _SUBNORMAL_STEP = 2.0**-1074
+
+# The power of the delta-grid screens (``screen`` of a delta curve):
+# numpy's, SVML on AVX-512 hosts, within 2 ulp of libm's ``pow``; a name
+# of its own so the tests can run the screens on libm's ``pow`` too.
+_power = np.power
+# The most array cells a series screen holds at once.
+_SCREEN_CELLS = 2**15
 
 
 def _check_uplink(g, k, eps_u) -> tuple[float, int, float]:
@@ -158,6 +167,27 @@ def _series_curve(g: float, k: int, eps_u: float, eps_d: float,
             s += w * k * q * (1.0 - q) ** (k - 1)
         return ThroughputResult(s, "series", n, err)
 
+    def screen(deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``at(delta).value`` for every delta of an array, by the same
+        products in the same order, and a bound on each difference.
+
+        Only the power (within 2 ulp) and the summation order (numpy's
+        pairwise sum, not the running one) differ: both sums of the
+        non-negative terms are within (n - 1) 2^-53 S of the exact one,
+        and each term moves by at most 6 2^-53 of itself plus one
+        subnormal step, so (2n + 16) 2^-53 S + (n + 16) 2^-1074 bounds
+        the difference.
+        """
+        wk, pn = np.array(weights) * k, np.array(p)
+        s = np.zeros(len(deltas))
+        step = max(1, _SCREEN_CELLS // len(deltas))
+        for lo in range(0, n, step):  # at most _SCREEN_CELLS cells at once
+            q = np.multiply.outer(deltas, pn[lo:lo + step]) * down
+            s += (wk[lo:lo + step] * q * _power(1.0 - q, k - 1)).sum(axis=1)
+        return s, ((2 * n + 16) * _UNIT_ROUNDOFF * s
+                   + (n + 16) * _SUBNORMAL_STEP)
+
+    at.screen = screen
     return at
 
 
@@ -234,6 +264,31 @@ def _closed_curve(
             err += subnormal
         return ThroughputResult(math.fsum(terms), "closed_form", k, err)
 
+    def screen(deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``at(delta).value`` for every delta of an array, by the same
+        frexp, products and ldexp, and a bound on each difference.
+
+        Only the power (within 2 ulp) and the sum (numpy's pairwise sum,
+        within (k - 1) 2^-53 sum|t_m| of the exact one, where ``fsum`` is
+        within 2^-53) differ; each term moves by at most 8 2^-53 |t_m|
+        plus two subnormal steps, so (2k + 16) 2^-53 sum|t_m| +
+        (k + 1) 2^-1072 bounds the difference.
+        """
+        ms = np.arange(1, k + 1)
+        mant_d, exp_d = np.frexp(deltas)
+        mant, e = mant_d * mant_s, exp_d + exp_s
+        em = np.multiply.outer(e, ms)
+        pw = _power(mant[:, None], ms)
+        c = np.array(coeffs)
+        terms = np.ldexp(c * pw, em)
+        up = e > 0  # scaled before the coefficient, as in ``at``
+        if up.any():
+            terms[up] = c * np.ldexp(pw[up], em[up])
+        return terms.sum(axis=1), (
+            (2 * k + 16) * _UNIT_ROUNDOFF * np.abs(terms).sum(axis=1)
+            + (k + 1) * 4 * _SUBNORMAL_STEP)
+
+    at.screen = screen
     return at, scale * size + lost
 
 

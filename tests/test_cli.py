@@ -224,6 +224,16 @@ class TestOptimizers:
         (row,) = parse_csv(out)
         assert float(row["g_star"]) == pytest.approx(2.0, abs=1e-4)
 
+    def test_subnormal_g_max_is_a_domain_error(self, capsys):
+        # its grid floor 1e-4 g_max would round to 0
+        code, out, err = run_cli(
+            capsys, "optimize-load", "--k", "2", "--eps-u", "0.3",
+            "--eps-d", "0.3", "--delta", "1", "--g-max", "1e-320",
+        )
+        assert (code, out) == (1, "")
+        assert err == ("relay-aloha: error: g_max must be finite and in "
+                       "[2.22507e-308, 1e+09], got 1e-320\n")
+
 
 class TestSimulateCommand:
     def test_consistent_with_eval(self, capsys):

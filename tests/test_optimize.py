@@ -1,6 +1,11 @@
 import math
+import sys
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relay_aloha import (
     SystemParams,
@@ -13,8 +18,11 @@ from relay_aloha import (
     throughput,
     throughput_series,
 )
-from relay_aloha import optimize
-from relay_aloha.optimize import ARG_TOL, LOAD_GRID_POINTS
+from relay_aloha import model, optimize
+from relay_aloha.model import _delta_curve
+from relay_aloha.optimize import (
+    _DELTA_ARRAY, _DELTA_GRID, ARG_TOL, LOAD_GRID_POINTS, _grid_then_golden,
+)
 
 
 class TestOptimizeDelta:
@@ -97,6 +105,124 @@ class TestOptimizeDelta:
         assert a == b
 
 
+def _libm_power(x, y):
+    """np.power through libm's pow, the path of hosts without SVML."""
+    return np.vectorize(math.pow, otypes=[float])(x, y)
+
+
+def _curve_at(g, k, eu, ed):
+    """The delta curve at load g, or for g=None at the peak load, up to
+    20 (eps_u <= 0.95)."""
+    if g is None:
+        g = peak_load(eu) if eu <= 0.95 else 20.0
+    return _delta_curve(SystemParams(g, k, eu, ed, 0.0))
+
+
+# eps including both ends; loads up to 20, the peak load (None) and 0;
+# k up to 40: closed form, series and k > 32
+_eps = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+_loads = st.one_of(st.none(), st.just(0.0), st.floats(0.0, 20.0))
+_relays = st.integers(1, 40)
+# the peak-load lattice: eps = 0..0.95 by 0.05, k = 1..32; it holds the
+# bimodal curves, e.g. eps = 0.05 with k = 4
+_LATTICE = [(None, k, i * 0.05, i * 0.05)
+            for i in range(20) for k in range(1, 33)]
+
+
+class TestDeltaScreen:
+    """The delta grid screened in one numpy pass gives the search its
+    exact result, evaluating the exact curve only where it can peak."""
+
+    @staticmethod
+    def _both(g, k, eu, ed):
+        curve = _curve_at(g, k, eu, ed)
+
+        def f(d):
+            return curve(d).value
+
+        screen = curve.screen(_DELTA_ARRAY)
+        return (_grid_then_golden(f, _DELTA_GRID, ARG_TOL),
+                _grid_then_golden(f, _DELTA_GRID, ARG_TOL, screen))
+
+    @settings(max_examples=300)
+    @given(g=_loads, k=_relays, eu=_eps, ed=_eps)
+    @example(g=None, k=4, eu=0.05, ed=0.05)  # bimodal
+    @example(g=0.0, k=3, eu=0.3, ed=0.3)
+    def test_screened_search_is_the_search(self, g, k, eu, ed):
+        plain, screened = self._both(g, k, eu, ed)
+        assert screened == plain
+
+    def test_screened_search_on_the_peak_load_lattice(self):
+        for point in _LATTICE:
+            plain, screened = self._both(*point)
+            assert screened == plain, point
+
+    @staticmethod
+    def _check_bound(g, k, eu, ed):
+        curve = _curve_at(g, k, eu, ed)
+        approx, tol = curve.screen(_DELTA_ARRAY)
+        exact = np.array([curve(d).value for d in _DELTA_GRID])
+        assert approx.shape == tol.shape == (len(_DELTA_GRID),)
+        assert np.all(np.abs(approx - exact) <= tol), (g, k, eu, ed)
+
+    @pytest.mark.parametrize("power", [np.power, _libm_power],
+                             ids=["numpy", "libm"])
+    @settings(max_examples=200)
+    @given(g=_loads, k=_relays, eu=_eps, ed=_eps)
+    def test_screen_within_its_bound(self, power, g, k, eu, ed):
+        # numpy's power may be SVML (within 2 ulp) or libm's pow
+        with mock.patch.object(model, "_power", power):
+            self._check_bound(g, k, eu, ed)
+
+    @pytest.mark.parametrize("power", [np.power, _libm_power],
+                             ids=["numpy", "libm"])
+    def test_screen_within_its_bound_on_the_lattice(self, power):
+        with mock.patch.object(model, "_power", power):
+            for point in _LATTICE:
+                self._check_bound(*point)
+
+    @pytest.mark.parametrize("g,k,eu,ed", [
+        (0.0, 4, 0.3, 0.3), (2.0, 4, 0.3, 1.0), (2.0, 40, 0.3, 1.0),
+        (2.0, 4, 1.0, 0.3), (0.0, 40, 0.0, 0.0),
+    ])
+    def test_flat_curves_keep_the_first_grid_point(self, g, k, eu, ed):
+        # every grid point ties, so every one is evaluated exactly and
+        # the first is kept, as without the screen
+        plain, screened = self._both(g, k, eu, ed)
+        assert screened == plain
+        r = optimize_delta(g, k, eu, ed)
+        assert (r.arg_star, r.value_star) == (0.0, 0.0)
+
+    def test_a_screen_within_tol_keeps_the_first_maximum(self):
+        # f ties at grid points 2 and 5; the screen, within its tol,
+        # ranks 5 higher, yet the search keeps 2 as without the screen
+        grid = [i / 10 for i in range(11)]
+        vals = [0.0, 1.0, 3.0, 2.0, 0.0, 3.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+
+        def f(x):
+            return float(np.interp(x, grid, vals))
+
+        approx = np.array(vals)
+        approx[5] += 0.4
+        screen = (approx, np.full(len(grid), 0.5))
+        plain = _grid_then_golden(f, grid, ARG_TOL)
+        assert plain[0] == pytest.approx(0.2, abs=ARG_TOL)
+        assert _grid_then_golden(f, grid, ARG_TOL, screen) == plain
+
+    def test_one_grid_point_is_evaluated_at_a_single_peak(self):
+        curve = _curve_at(None, 8, 0.3, 0.3)
+        calls = []
+
+        def f(d):
+            calls.append(d)
+            return curve(d).value
+
+        _, _, evals = _grid_then_golden(f, _DELTA_GRID, ARG_TOL,
+                                        curve.screen(_DELTA_ARRAY))
+        # the evaluation count still includes the whole grid
+        assert len(calls) == evals - len(_DELTA_GRID) + 1
+
+
 class TestOptimizeLoad:
     def test_classical_single_relay_peak(self):
         r = optimize_load(1, 0.0, 0.0, 1.0, g_max=5.0)
@@ -119,6 +245,17 @@ class TestOptimizeLoad:
         with pytest.raises(ValueError):
             optimize_load(1, 0.1, 0.1, 1.0, g_max=0.0)
 
+    @pytest.mark.parametrize("g_max", [1e-320, 5e-324, 2.225073858507201e-308])
+    def test_subnormal_g_max_is_a_domain_error(self, g_max):
+        # the grid floor 1e-4 g_max would round to 0
+        with pytest.raises(ValueError, match=r"g_max must be finite and in "
+                                             r"\[2\.22507e-308, 1e\+09\]"):
+            optimize_load(2, 0.3, 0.3, 1.0, g_max)
+
+    def test_smallest_normal_g_max(self):
+        r = optimize_load(2, 0.3, 0.3, 1.0, sys.float_info.min)
+        assert 0.0 < r.value_star < r.arg_star <= sys.float_info.min
+
     @pytest.mark.parametrize("g_max", [1e4, 1e5, 1e9])
     def test_large_g_max_keeps_the_peak(self, g_max):
         # the grid's floor stays below the peak near 1/(1 - eps_u)
@@ -126,7 +263,8 @@ class TestOptimizeLoad:
         r = optimize_load(2, 0.3, 0.3, 1.0, g_max)
         assert r.value_star == pytest.approx(ref, abs=1e-12)
 
-    @pytest.mark.parametrize("g_max", [1e-6, 0.5, 8.0, 1e9])
+    @pytest.mark.parametrize("g_max", [sys.float_info.min, 1e-6, 0.5, 8.0,
+                                       1e9])
     def test_grid_rises_to_g_max(self, monkeypatch, g_max):
         grids, search = [], optimize._grid_then_golden
 
