@@ -6,6 +6,10 @@ sink over a second slotted-ALOHA hop.  The package evaluates end-to-end
 throughput exactly (series and closed form), bounds it, optimizes the
 forwarding probability, load and relay count, and cross-checks everything
 against a slot-level Monte Carlo simulator.
+
+numpy is imported inside the functions that build arrays (the delta
+screens, the optimizers' grids, the simulator), so importing the package
+and evaluating the closed forms and series never load it.
 """
 
 __version__ = "0.1.0"

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .kernels import (
     _UNIT_ROUNDOFF,
@@ -34,6 +32,9 @@ from .kernels import (
     real_arg,
     touchard_over_x,
 )
+
+if TYPE_CHECKING:  # annotations only: numpy loads at the first array
+    import numpy as np
 
 # The dispatch rule: throughput and bound take a closed form when k <=
 # H_MAX_ORDER (its Touchard table) and its own rounding estimate is at
@@ -50,13 +51,17 @@ _THROUGHPUT_WEIGHTS = tuple(
     tuple(m * w for m, w in enumerate(row, 1)) for row in _BOUND_WEIGHTS
 )
 _SUBNORMAL_STEP = 2.0**-1074
-
-# The power of the delta-grid screens (``screen`` of a delta curve):
-# numpy's, SVML on AVX-512 hosts, within 2 ulp of libm's ``pow``; a name
-# of its own so the tests can run the screens on libm's ``pow`` too.
-_power = np.power
 # The most array cells a series screen holds at once.
 _SCREEN_CELLS = 2**15
+
+
+def _power(x, y):
+    """The power of the delta-grid screens (``screen`` of a delta curve):
+    numpy's, SVML on AVX-512 hosts, within 2 ulp of libm's ``pow``; a
+    name of its own so the tests can run the screens on libm's ``pow``
+    too."""
+    import numpy as np
+    return np.power(x, y)
 
 
 def _check_uplink(g, k, eps_u) -> tuple[float, int, float]:
@@ -178,6 +183,7 @@ def _series_curve(g: float, k: int, eps_u: float, eps_d: float,
         subnormal step, so (2n + 16) 2^-53 S + (n + 16) 2^-1074 bounds
         the difference.
         """
+        import numpy as np
         wk, pn = np.array(weights) * k, np.array(p)
         s = np.zeros(len(deltas))
         step = max(1, _SCREEN_CELLS // len(deltas))
@@ -274,6 +280,7 @@ def _closed_curve(
         plus two subnormal steps, so (2k + 16) 2^-53 sum|t_m| +
         (k + 1) 2^-1072 bounds the difference.
         """
+        import numpy as np
         ms = np.arange(1, k + 1)
         mant_d, exp_d = np.frexp(deltas)
         mant, e = mant_d * mant_s, exp_d + exp_s

@@ -21,15 +21,17 @@ so the search returns the same bytes as with every point evaluated.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .kernels import G_MAX, integer_arg, real_arg
 from .model import SystemParams, _curve, _delta_curve, peak_load
+
+if TYPE_CHECKING:  # annotations only: numpy loads at the first array
+    import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -40,7 +42,13 @@ DEFAULT_G_MAX = 8.0
 DEFAULT_K_MAX = 32
 _DELTA_GRID = tuple(i / (DELTA_GRID_POINTS - 1)
                     for i in range(DELTA_GRID_POINTS))
-_DELTA_ARRAY = np.array(_DELTA_GRID)
+
+
+@functools.cache
+def _delta_array() -> np.ndarray:
+    """``_DELTA_GRID`` as the array the screens take, built once."""
+    import numpy as np
+    return np.array(_DELTA_GRID)
 
 
 @dataclass(frozen=True)
@@ -101,6 +109,7 @@ def _grid_then_golden(
     """
     points = range(len(grid))
     if screen is not None:
+        import numpy as np
         approx, tol = screen
         points = np.flatnonzero(
             approx >= approx.max() - 2.0 * tol.max()).tolist()
@@ -135,7 +144,7 @@ def optimize_delta(
     curve = _delta_curve(SystemParams(g, k, eps_u, eps_d, 0.0))
     d_star, v_star, evals = _grid_then_golden(
         lambda d: curve(d).value, _DELTA_GRID, ARG_TOL,
-        curve.screen(_DELTA_ARRAY),
+        curve.screen(_delta_array()),
     )
     return OptimizationResult(d_star, v_star, "grid_golden", evals)
 
@@ -154,6 +163,7 @@ def optimize_load(
     in [2^-1022, G_MAX], 2^-1022 the smallest normal float (below it
     the floor would round to 0), else it is a ValueError.
     """
+    import numpy as np
     g_max = real_arg("g_max", g_max, sys.float_info.min, G_MAX)
     grid = np.geomspace(1e-4 * min(g_max, 1.0), g_max,
                         LOAD_GRID_POINTS).tolist()

@@ -33,11 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .kernels import integer_arg
 from .model import SystemParams, _decode_table
+
+if TYPE_CHECKING:  # annotations only: numpy loads at the first array
+    import numpy as np
 
 MODE_FULL = "full_system"
 MODE_BOUND = "bound_uplink_only"
@@ -68,7 +70,7 @@ _TAIL = 2.0**-53
 # of a bucket whose words must search their class; every true threshold
 # is at most 2^24.
 _BITS = 12
-_IN_STEP = np.uint32(0xFFFFFFFF)
+_IN_STEP = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -162,6 +164,7 @@ def rng_substream(seed: int, stream_id: int = 0) -> np.random.Generator:
     distinct counter-based generators rather than offsets of one stream.
     Each must be an integer in 0..2^64-1, else ValueError.
     """
+    import numpy as np
     key = np.array([integer_arg("seed", seed, 0, _MASK64),
                     integer_arg("stream_id", stream_id, 0, _MASK64)],
                    dtype=np.uint64)
@@ -177,6 +180,7 @@ def _occupancy(g: float, eps_u: float) -> tuple[np.ndarray, np.ndarray]:
     the first class takes the omitted lower tail and the last the upper.
     The CDF never decreases and ends at most at 1.
     """
+    import numpy as np
     _, weights, p_dec, _ = _decode_table(g, eps_u, _TAIL)
     return np.minimum(np.cumsum(weights[:-1]), 1.0), np.array(p_dec)
 
@@ -195,6 +199,7 @@ class _Tally:
     """
 
     def __init__(self, config: SimConfig) -> None:
+        import numpy as np
         if not isinstance(config, SimConfig):
             raise ValueError(f"config must be a SimConfig, got {config!r}")
         self.config = config
@@ -211,6 +216,7 @@ class _Tally:
 
     def measure(self, success: np.ndarray) -> None:
         """Count the next ``success.size`` measured slots."""
+        import numpy as np
         hits = np.flatnonzero(success)
         lo = self.measured
         self.measured += success.size
@@ -267,6 +273,7 @@ class _Thresholds:
     """
 
     def __init__(self, p: SystemParams, full: bool, size: int) -> None:
+        import numpy as np
         self.cdf, p_dec = _occupancy(p.g, p.eps_u)
         scale = (1.0, p.delta, p.delta * (1.0 - p.eps_d)) if full else (1.0,)
         t = np.multiply.outer(scale, p_dec).astype(np.float32)
@@ -285,6 +292,7 @@ class _Thresholds:
 
     def __call__(self, words: np.ndarray, out: np.ndarray) -> None:
         """Fill ``out[r, i]`` with test r's threshold for ``words[i]``."""
+        import numpy as np
         bucket = self._bucket[:words.size]
         np.right_shift(words, 64 - _BITS, out=bucket)
         ix = bucket.view(np.intp)  # below 2^_BITS: the same bits
@@ -312,6 +320,7 @@ def simulate(config: SimConfig) -> SimStats:
     ``(h >> 8) < ceil(t 2^24)``, and the occupancy class is looked up by
     :class:`_Thresholds`.
     """
+    import numpy as np
     tally = _Tally(config)
     p, w, k = config.params, config.warmup_slots, config.params.k
     total_slots, full = w + config.n_slots, config.mode == MODE_FULL
@@ -372,6 +381,7 @@ def simulate_trace(config: SimConfig) -> tuple[SimStats, list[SlotOutcome]]:
     :func:`simulate` at equal seeds even though the law is the same.
     Intended for small runs; memory grows with k * total slots.
     """
+    import numpy as np
     tally = _Tally(config)
     p, w, k = config.params, config.warmup_slots, config.params.k
     total_slots, full = w + config.n_slots, config.mode == MODE_FULL

@@ -21,7 +21,7 @@ from relay_aloha import (
 from relay_aloha import model, optimize
 from relay_aloha.model import _delta_curve
 from relay_aloha.optimize import (
-    _DELTA_ARRAY, _DELTA_GRID, ARG_TOL, LOAD_GRID_POINTS, _grid_then_golden,
+    _DELTA_GRID, ARG_TOL, LOAD_GRID_POINTS, _delta_array, _grid_then_golden,
 )
 
 
@@ -140,7 +140,7 @@ class TestDeltaScreen:
         def f(d):
             return curve(d).value
 
-        screen = curve.screen(_DELTA_ARRAY)
+        screen = curve.screen(_delta_array())
         return (_grid_then_golden(f, _DELTA_GRID, ARG_TOL),
                 _grid_then_golden(f, _DELTA_GRID, ARG_TOL, screen))
 
@@ -160,7 +160,7 @@ class TestDeltaScreen:
     @staticmethod
     def _check_bound(g, k, eu, ed):
         curve = _curve_at(g, k, eu, ed)
-        approx, tol = curve.screen(_DELTA_ARRAY)
+        approx, tol = curve.screen(_delta_array())
         exact = np.array([curve(d).value for d in _DELTA_GRID])
         assert approx.shape == tol.shape == (len(_DELTA_GRID),)
         assert np.all(np.abs(approx - exact) <= tol), (g, k, eu, ed)
@@ -218,7 +218,7 @@ class TestDeltaScreen:
             return curve(d).value
 
         _, _, evals = _grid_then_golden(f, _DELTA_GRID, ARG_TOL,
-                                        curve.screen(_DELTA_ARRAY))
+                                        curve.screen(_delta_array()))
         # the evaluation count still includes the whole grid
         assert len(calls) == evals - len(_DELTA_GRID) + 1
 
