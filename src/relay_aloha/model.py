@@ -120,11 +120,21 @@ def throughput_sa(g: float, eps_u: float) -> ThroughputResult:
     """Throughput of a single slotted-ALOHA link with erasures.
 
     Poisson-averaging the single-survivor probability collapses to
-    g (1-eps_u) e^(-g (1-eps_u)).
+    g (1-eps_u) e^(-g (1-eps_u)).  With ge = g (1-eps_u),
+    ``est_abs_error`` is (6 + 2 ge) 2^-53 value + (ge + 1) 2^-1074.  The
+    relative term covers three roundings, one ulp of ``exp`` and the two
+    roundings of ge, which ``exp`` magnifies ge times, with room for
+    second-order terms.  The absolute term covers results below the
+    normal range: a subnormal ge, or ``exp`` subnormal or 0 past ge ~ 708.
+    The error is 0 only where the value is exact, at g = 0 or eps_u = 1.
     """
     g, _, eps_u = _check_uplink(g, 1, eps_u)
     ge = g * (1.0 - eps_u)
-    return ThroughputResult(ge * math.exp(-ge), "closed_form", terms_used=1)
+    value = ge * math.exp(-ge)
+    err = ((6.0 + 2.0 * ge) * _UNIT_ROUNDOFF * value
+           + (ge + 1.0) * _SUBNORMAL_STEP if g and eps_u != 1.0 else 0.0)
+    return ThroughputResult(value, "closed_form", terms_used=1,
+                            est_abs_error=err)
 
 
 def _fields(params: SystemParams) -> tuple[float, int, float, float]:

@@ -11,12 +11,11 @@ are references the delta search is tested against; no k is special.
 
 The delta search screens its 101-point grid in one numpy pass
 (``screen`` of the curve, built from the same delta-free coefficients
-as the exact curve) with a proven bound ``tol`` on its distance from
-the exact values: at most (2k + 16) 2^-53 sum|t_m| + (k + 1) 2^-1072
-for the closed form, (2n + 16) 2^-53 S + (n + 16) 2^-1074 for the
-n-term series.  Only the grid points within 2 max(tol) of the screen's
-maximum are evaluated exactly, and they hold the first exact maximum,
-so the search returns the same bytes as with every point evaluated.
+as the exact curve) with a bound ``tol`` on its distance from the exact
+values, which each of ``model``'s two screens proves.  Only the grid
+points within 2 max(tol) of the screen's maximum are evaluated exactly,
+and they hold the first exact maximum, so the search returns the same
+bytes as with every point evaluated.
 """
 
 from __future__ import annotations

@@ -171,20 +171,6 @@ def rng_substream(seed: int, stream_id: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _occupancy(g: float, eps_u: float) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse-CDF table of the Poisson(g) slot occupancy, and the decode
-    probability of each occupancy class.
-
-    Class i is the count lo + i of ``_decode_table(g, eps_u, 2^-53)``, so
-    ``searchsorted(cdf, u, side="right")`` maps a uniform u to a class;
-    the first class takes the omitted lower tail and the last the upper.
-    The CDF never decreases and ends at most at 1.
-    """
-    import numpy as np
-    _, weights, p_dec, _ = _decode_table(g, eps_u, _TAIL)
-    return np.minimum(np.cumsum(weights[:-1]), 1.0), np.array(p_dec)
-
-
 class _Tally:
     """The counters of one run, filled in slot order by either route, and
     the :class:`SimStats` built from them.
@@ -257,11 +243,13 @@ class _Tally:
 class _Thresholds:
     """Each slot's relay thresholds, from its raw occupancy word.
 
-    ``tables[r, i]`` is test r's threshold in occupancy class i of
-    :func:`_occupancy`: r = 0 decodes (p_i) and, in the full mode, r = 1
-    forwards (p_i delta) and r = 2 arrives (p_i delta (1 - eps_d)).  A
-    float32 threshold t is stored as ceil(t 2^24), the number of float32
-    uniforms below it.
+    Occupancy class i is the count lo + i of ``_decode_table(g, eps_u,
+    _TAIL)``, the first and last classes taking the tails.  ``cdf`` never
+    decreases and ends at most at 1: ``searchsorted(cdf, u, side="right")``
+    is the class of a uniform u.  ``tables[r, i]`` is test r's threshold
+    in class i: r = 0 decodes (p_i) and, in the full mode, r = 1 forwards
+    (p_i delta) and r = 2 arrives (p_i delta (1 - eps_d)), each float32
+    threshold t as ceil(t 2^24), the number of float32 uniforms below it.
 
     ``buckets`` are guide tables (Chen & Asau, 1974).  Bucket b holds the
     words whose top ``_BITS`` bits read b, the uniforms u in
@@ -269,12 +257,14 @@ class _Thresholds:
     lowest u.  Where a CDF value lies strictly inside a bucket, the class
     of a u there may differ: its decode entry is ``_IN_STEP`` and its
     words take ``searchsorted`` on their own u.  Built in O(classes +
-    2^_BITS) steps; calls reuse scratch for up to ``size`` words.
+    2^_BITS) steps; calls reuse flat scratch for up to ``size`` words, so
+    each call's rows are unstrided (``take`` copies a strided ``out``).
     """
 
     def __init__(self, p: SystemParams, full: bool, size: int) -> None:
         import numpy as np
-        self.cdf, p_dec = _occupancy(p.g, p.eps_u)
+        _, weights, p_dec, _ = _decode_table(p.g, p.eps_u, _TAIL)
+        self.cdf = np.minimum(np.cumsum(weights[:-1]), 1.0)
         scale = (1.0, p.delta, p.delta * (1.0 - p.eps_d)) if full else (1.0,)
         t = np.multiply.outer(scale, p_dec).astype(np.float32)
         t *= np.float32(1 << 24)  # exact: a power-of-two scale
@@ -287,23 +277,25 @@ class _Thresholds:
         self.buckets = self.tables.repeat(
             (edges[1:] - edges[:-1]).astype(np.intp), axis=1)
         self.buckets[0, up[up != x].astype(np.intp) - 1] = _IN_STEP
+        self._out = np.empty(len(scale) * size, dtype=np.uint32)
         self._bucket = np.empty(size, dtype=np.uint64)
         self._in_step = np.empty(size, dtype=bool)
 
-    def __call__(self, words: np.ndarray, out: np.ndarray) -> None:
-        """Fill ``out[r, i]`` with test r's threshold for ``words[i]``."""
+    def __call__(self, words: np.ndarray) -> np.ndarray:
+        """Test r's thresholds for ``words`` in row r, until the next call."""
         import numpy as np
+        out = self._out[:words.size * len(self.tables)].reshape(-1, words.size)
         bucket = self._bucket[:words.size]
         np.right_shift(words, 64 - _BITS, out=bucket)
         ix = bucket.view(np.intp)  # below 2^_BITS: the same bits
-        for tab, row in zip(self.buckets, out):
-            tab.take(ix, out=row, mode="clip")
+        self.buckets.take(ix, axis=1, out=out, mode="clip")
         (steps,) = np.equal(out[0], _IN_STEP,
                             out=self._in_step[:words.size]).nonzero()
         if steps.size:
             u = (words[steps] >> 11) * 2.0**-53  # numpy's float64 rule
             out[:, steps] = self.tables[
                 :, np.searchsorted(self.cdf, u, side="right")]
+        return out
 
 
 def simulate(config: SimConfig) -> SimStats:
@@ -328,7 +320,6 @@ def simulate(config: SimConfig) -> SimStats:
 
     m = min(_CHUNK, total_slots)
     thresholds = _Thresholds(p, full, m)
-    thr = np.empty((len(thresholds.tables), m), dtype=np.uint32)
     hit = np.empty(m, dtype=bool)
     union = np.empty(m, dtype=bool)
     # sink[t] counts arrivals in slot t of a chunk of c slots; sink[c]
@@ -339,8 +330,7 @@ def simulate(config: SimConfig) -> SimStats:
     for start in range(0, total_slots, m):
         c = min(m, total_slots - start)
         lo = min(max(w - start, 0), c)  # first measured slot of the chunk
-        thresholds(raw(c), thr[:, :c])
-        thr_dec, hc, unc = thr[0, :c], hit[:c], union[:c]
+        thr, hc, unc = thresholds(raw(c)), hit[:c], union[:c]
         unc[:] = False
         for i in range(0, k, 2):
             # relays i and i + 1 take the next 2c halves, low half first;
@@ -349,16 +339,16 @@ def simulate(config: SimConfig) -> SimStats:
             h = h.astype("<u8", copy=False).view("<u4")  # on any host
             np.right_shift(h, 8, out=h)
             for j, uc in enumerate((h[:c], h[c:2 * c])[:k - i], i):
-                np.less(uc, thr_dec, out=hc)
+                np.less(uc, thr[0], out=hc)
                 unc |= hc
                 n_hits = np.count_nonzero(hc)
                 tally.decodes += n_hits
                 tally.decode_hits[j] += (np.count_nonzero(hc[lo:]) if lo
                                          else n_hits)
                 if full:
-                    np.less(uc, thr[1, :c], out=hc)
+                    np.less(uc, thr[1], out=hc)
                     tally.forwards += np.count_nonzero(hc)
-                    np.less(uc, thr[2, :c], out=hc)
+                    np.less(uc, thr[2], out=hc)
                     sink[1:c + 1] += hc.view(np.uint8)
         tally.union_hits += np.count_nonzero(unc[lo:])
         if full:

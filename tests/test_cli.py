@@ -1,7 +1,10 @@
 import csv
 import io
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from relay_aloha import (
 from relay_aloha.cli import build_parser, cli_main
 from relay_aloha.sweep import columns_for, sweep_comments, write_csv
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 def run_cli(capsys, *argv):
     code = cli_main(list(argv))
@@ -104,6 +108,15 @@ class TestEval:
 
 
 class TestUsageErrors:
+    def test_module_entry_point_prints_the_version(self):
+        # a fresh interpreter runs ``python -m relay_aloha``
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        run = subprocess.run([sys.executable, "-m", "relay_aloha",
+                              "--version"], capture_output=True, text=True,
+                             env=env, timeout=60)
+        assert (run.returncode, run.stdout, run.stderr) == (
+            0, f"{__version__}\n", "")
+
     def test_unknown_command(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
 

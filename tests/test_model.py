@@ -116,7 +116,10 @@ class TestDomainErrors:
         assert bound(2.0, np.int64(3), 0.3) == bound(2.0, 3, 0.3)
 
     @pytest.mark.parametrize(
-        "g", [math.inf, math.nan, -0.5, math.nextafter(G_MAX, math.inf)]
+        "g", [math.inf, math.nan, -0.5, math.nextafter(G_MAX, math.inf),
+              # ints past the float range
+              pytest.param(10**400, id="1e400"),
+              pytest.param(-10**400, id="-1e400")]
     )
     def test_single_link_needs_a_finite_load(self, g):
         with pytest.raises(ValueError, match="g must be finite"):
@@ -174,7 +177,32 @@ class TestUplinkDecoding:
                    for p in _decode_table(float(n), eps, 1e-14)[2])
 
 
+def single_link_decimal(g, eu, prec=40):
+    """g (1-eps_u) e^(-g (1-eps_u)) in ``prec``-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        ge = Decimal(g) * (1 - Decimal(eu))
+        return ge * (-ge).exp()
+
+
 class TestSingleLinkThroughput:
+    @given(g=st.floats(min_value=0.0, max_value=G_MAX), eps=eps_floats)
+    @example(g=5e-324, eps=0.3)  # g (1-eps_u) rounds as a subnormal
+    @example(g=1e-310, eps=0.6)
+    @example(g=740.0, eps=0.0)  # exp(-g) is subnormal
+    @example(g=800.0, eps=0.0)  # exp(-g) is 0
+    @example(g=2.0, eps=0.5)
+    @example(g=0.0, eps=0.3)
+    @example(g=3.0, eps=1.0)
+    def test_error_estimate_covers_a_decimal_reference(self, g, eps):
+        r = throughput_sa(g, eps)
+        ref = single_link_decimal(g, eps)
+        # the slack covers the reference's own 40-digit rounding
+        assert abs(Decimal(r.value) - ref) <= (
+            Decimal(r.est_abs_error) + ref * Decimal(10) ** -30)
+        # 0 only where the value is exact
+        assert (r.est_abs_error == 0.0) == (g == 0.0 or eps == 1.0)
+
     def test_classical_peak(self):
         assert throughput_sa(1.0, 0.0).value == pytest.approx(
             math.exp(-1), rel=1e-15

@@ -26,7 +26,6 @@ from relay_aloha.kernels import poisson_table
 from relay_aloha.model import _decode_table
 from relay_aloha.simulate import (
     _BITS, _CHUNK, _TAIL, _TRACE_LAYOUT, _Z95, _Tally, _Thresholds,
-    _occupancy,
 )
 
 
@@ -371,7 +370,8 @@ def replay(cfg):
     w = cfg.warmup_slots
     full = cfg.mode != MODE_BOUND
     rng = rng_substream(cfg.seed, cfg.stream_id)
-    cdf, p_dec = _occupancy(p.g, p.eps_u)
+    cdf = _Thresholds(p, full, 1).cdf
+    p_dec = np.array(_decode_table(p.g, p.eps_u, _TAIL)[2])
     occ, relay_u = [], []
     for start in range(0, total, _CHUNK):
         c = min(_CHUNK, total - start)
@@ -536,13 +536,15 @@ class TestStreaming:
 
     @pytest.mark.parametrize("g", [0.0, 0.25, 2.0, 50.0, 300.0, 1e6])
     def test_occupancy_cdf_is_a_cdf(self, g):
-        cdf, p_dec = _occupancy(g, 0.3)
+        look = _Thresholds(SystemParams(g, 1, 0.3, 0.3, 0.5), False, 1)
+        cdf, p_dec = look.cdf, np.array(_decode_table(g, 0.3, _TAIL)[2])
         lo, weights, _ = poisson_table(g, _TAIL)
         assert cdf.size + 1 == p_dec.size == len(weights)
         assert np.all(np.diff(cdf) >= 0.0)
         assert cdf[0] >= 0.0 and cdf[-1] <= 1.0
-        # the decode probabilities are the series' own, bit for bit
-        assert p_dec.tolist() == _decode_table(g, 0.3, _TAIL)[2]
+        # the thresholds are built from the series' own decode probabilities
+        t = p_dec.astype(np.float32) * np.float32(1 << 24)
+        assert look.tables.tolist() == [np.ceil(t).astype(np.uint32).tolist()]
         assert p_dec[0] == (lo * (1.0 - 0.3) * 0.3 ** (lo - 1) if lo else 0.0)
 
     def test_a_million_packets_per_slot(self):
@@ -626,7 +628,8 @@ class TestThresholds:
     @pytest.mark.parametrize("g", [0.0, 1e-9, 0.25, 2.0, 8.0, 300.0, 690.0])
     @pytest.mark.parametrize("eps_u", [0.0, 0.3, 0.999, 1.0])
     def test_bucket_lookup_is_exact(self, g, eps_u):
-        cdf = _occupancy(g, eps_u)[0]
+        p = SystemParams(g, 3, eps_u, 0.3, 0.6)
+        cdf = _Thresholds(p, True, 1).cdf
         edges = np.arange(1 << _BITS, dtype=np.uint64) << np.uint64(
             64 - _BITS)
         # the words whose uniform is the first at or above each CDF value
@@ -637,19 +640,19 @@ class TestThresholds:
             steps, steps - np.uint64(1 << 11),
             rng_substream(11, 12).bit_generator.random_raw(100_000),
         ])
-        look = _Thresholds(SystemParams(g, 3, eps_u, 0.3, 0.6), True,
-                           words.size)
-        got = np.empty((3, words.size), dtype=np.uint32)
-        look(words, got)
+        look = _Thresholds(p, True, words.size)
+        got = look(words)
         u = (words >> 11) * 2.0**-53
         want = look.tables[:, np.searchsorted(look.cdf, u, side="right")]
         assert np.array_equal(got, want)
+        # a shorter call fills and returns the first columns of the rows
+        assert np.array_equal(look(words[-7:]), want[:, -7:])
 
     @pytest.mark.parametrize("eps_u", [0.0, 0.3, 0.999, 1.0])
     def test_integer_thresholds_decide_as_float32_uniforms(self, eps_u):
         # m < ceil(t 2^24) exactly when the float32 uniform m 2^-24 < t
         p = SystemParams(2.0, 3, eps_u, 0.3, 0.6)
-        _, p_dec = _occupancy(p.g, p.eps_u)
+        p_dec = np.array(_decode_table(p.g, p.eps_u, _TAIL)[2])
         t = np.array([p_dec, p_dec * p.delta,
                       p_dec * (p.delta * (1.0 - p.eps_d))], dtype=np.float32)
         n = _Thresholds(p, True, 1).tables.astype(np.int64)

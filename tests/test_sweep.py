@@ -41,6 +41,8 @@ class TestSweepSpec:
                 SweepSpec(axis="g", values=values, fixed=FIXED)
         with pytest.raises(ValueError):
             SweepSpec(axis="g", values=(1.0,), fixed=FIXED, outputs=("s",))
+        with pytest.raises(ValueError, match="outputs must be non-empty"):
+            SweepSpec(axis="g", values=(1.0,), fixed=FIXED, outputs=())
         # a repeated output would repeat its two columns in the header
         for outputs in [("analytic", "analytic"),
                         ("bound", "analytic", "bound")]:
@@ -257,6 +259,7 @@ class TestCsvWriting:
         assert format_cell(0.15000000000000002) == "0.15"
         assert format_cell(3) == "3"
         assert format_cell("") == ""
+        assert (format_cell(True), format_cell(False)) == ("1", "0")
 
     def test_cells_with_a_separator_or_quote_are_quoted(self):
         assert format_cell("k must be an integer, got 2.5") == (
