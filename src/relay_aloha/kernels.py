@@ -43,21 +43,19 @@ _TOUCHARD_OVER_X = tuple(
 )
 
 
-def integer_arg(name: str, value: object, lo: int,
-                hi: int | None = None) -> int:
-    """``value`` as an ``int`` in lo..hi (None: no limit), through
-    ``operator.index`` (numpy integers pass); a float, a string, a bool
-    (an int, but no count) or a value out of range is a ValueError."""
+def integer_arg(name: str, value: object, lo: int, hi: int) -> int:
+    """``value`` as an ``int`` in lo..hi, through ``operator.index``
+    (numpy integers pass); a float, a string, a bool (an int, but no
+    count) or a value out of range is a ValueError."""
     try:
         if isinstance(value, bool):
             raise TypeError
         v = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if lo <= v and (hi is None or v <= hi):
+    if lo <= v <= hi:
         return v
-    limits = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-    raise ValueError(f"{name} must be {limits}, got {v}")
+    raise ValueError(f"{name} must be in {lo}..{hi}, got {v}")
 
 
 def real_arg(name: str, value: object, lo: float, hi: float,

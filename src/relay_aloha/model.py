@@ -281,29 +281,21 @@ def _closed_curve(
         return ThroughputResult(math.fsum(terms), "closed_form", k, err)
 
     def screen(deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``at(delta).value`` for every delta of an array, by the same
-        frexp, products and ldexp, and a bound on each difference.
+        """``at(delta).value`` for a delta array as sum_m c_m r^m, and tol.
 
-        Only the power (within 2 ulp) and the sum (numpy's pairwise sum,
-        within (k - 1) 2^-53 sum|t_m| of the exact one, where ``fsum`` is
-        within 2^-53) differ; each term moves by at most 8 2^-53 |t_m|
-        plus two subnormal steps, so (2k + 16) 2^-53 sum|t_m| +
-        (k + 1) 2^-1072 bounds the difference.
+        For delta in [0, 1], r = delta r1 is ``at``'s mant 2^e, or within
+        2^-1075 of it if subnormal: 2^-1075 sum m|c_m| in the sum.  A term
+        moves by 8 2^-53 |t_m| (powers within 2 and 1 ulp, a product
+        each), 2^-1073 |c_m| if the power is subnormal or 0, 3 2^-1075 if
+        rounded subnormal; the sums by k 2^-53 sum|t_m|.  So tol = (2k + 16)
+        2^-53 sum|t_m| + 2^-1075 sum (m + 4)|c_m| + (k + 1) 2^-1072.
         """
         import numpy as np
-        ms = np.arange(1, k + 1)
-        mant_d, exp_d = np.frexp(deltas)
-        mant, e = mant_d * mant_s, exp_d + exp_s
-        em = np.multiply.outer(e, ms)
-        pw = _power(mant[:, None], ms)
-        c = np.array(coeffs)
-        terms = np.ldexp(c * pw, em)
-        up = e > 0  # scaled before the coefficient, as in ``at``
-        if up.any():
-            terms[up] = c * np.ldexp(pw[up], em[up])
+        c, ms = np.array(coeffs), np.arange(1, k + 1)
+        terms = c * _power((deltas * r1)[:, None], ms)
         return terms.sum(axis=1), (
             (2 * k + 16) * _UNIT_ROUNDOFF * np.abs(terms).sum(axis=1)
-            + (k + 1) * 4 * _SUBNORMAL_STEP)
+            + (np.abs(c) @ (ms + 4) / 2 + 4 * (k + 1)) * _SUBNORMAL_STEP)
 
     at.screen = screen
     return at, scale * size + lost

@@ -12,10 +12,11 @@ are references the delta search is tested against; no k is special.
 The delta search screens its 101-point grid in one numpy pass
 (``screen`` of the curve, built from the same delta-free coefficients
 as the exact curve) with a bound ``tol`` on its distance from the exact
-values, which each of ``model``'s two screens proves.  Only the grid
-points within 2 max(tol) of the screen's maximum are evaluated exactly,
-and they hold the first exact maximum, so the search returns the same
-bytes as with every point evaluated.
+values; the ``screen`` docstrings in ``model._closed_curve`` and
+``model._series_curve`` prove each bound.  Only the grid points within
+2 max(tol) of the screen's maximum are evaluated exactly, and they hold
+the first exact maximum, so the search returns the same bytes as with
+every point evaluated.
 """
 
 from __future__ import annotations

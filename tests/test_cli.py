@@ -117,6 +117,21 @@ class TestUsageErrors:
         assert (run.returncode, run.stdout, run.stderr) == (
             0, f"{__version__}\n", "")
 
+    def test_closed_pipe_exits_like_sigpipe(self):
+        # a reader that stops after one line, like ``head -1``; the CSV
+        # (~180 kB) outgrows the pipe buffer (64 kB), so the failing
+        # write happens inside cli_main, not at interpreter shutdown
+        loads = ",".join(str(i / 1000) for i in range(1, 4001))
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        with subprocess.Popen(
+                [sys.executable, "-m", "relay_aloha", "sweep", "--axis", "g",
+                 "--values", loads], stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline().startswith(b"# relay-aloha")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=60), err) == (141, b"")
+
     def test_unknown_command(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
 

@@ -127,6 +127,13 @@ _relays = st.integers(1, 40)
 # bimodal curves, e.g. eps = 0.05 with k = 4
 _LATTICE = [(None, k, i * 0.05, i * 0.05)
             for i in range(20) for k in range(1, 33)]
+# the extremes: loads up to 1000, eps within 1e-16 of 0 and of 1, and
+# deltas at and below the subnormal range besides the search's grid
+_far_loads = st.one_of(st.sampled_from([0.0, 1000.0]), st.floats(0.0, 1000.0))
+_near_ends = st.one_of(st.sampled_from([0.0, 1e-16, 1.0 - 1e-16, 1.0]),
+                       st.floats(0.0, 1e-16), st.floats(1.0 - 1e-16, 1.0),
+                       st.floats(0.0, 1.0))
+_EXTREME_DELTAS = [0.0, 5e-324, 1e-300, 1e-20, 0.5, 1.0]
 
 
 class TestDeltaScreen:
@@ -180,6 +187,26 @@ class TestDeltaScreen:
         with mock.patch.object(model, "_power", power):
             for point in _LATTICE:
                 self._check_bound(*point)
+
+    @pytest.mark.parametrize("power", [np.power, _libm_power],
+                             ids=["numpy", "libm"])
+    @pytest.mark.parametrize("kind", ["closed", "series"])
+    @settings(max_examples=100)
+    @given(g=_far_loads, k=st.integers(1, 32), eu=_near_ends, ed=_near_ends)
+    @example(g=1000.0, k=32, eu=1.0 - 1e-16, ed=0.0)  # r = 1e-300 r1 subnormal
+    @example(g=1000.0, k=32, eu=1e-16, ed=1.0 - 1e-16)
+    def test_screen_within_its_bound_at_the_extremes(self, power, kind, g, k,
+                                                     eu, ed):
+        # either curve kind, whatever the dispatch would pick
+        if kind == "closed":
+            curve = model._closed_curve(g, k, eu, ed, False)[0]
+        else:
+            curve = model._series_curve(g, k, eu, ed, False)
+        deltas = np.concatenate([_EXTREME_DELTAS, _delta_array()])
+        with mock.patch.object(model, "_power", power):
+            approx, tol = curve.screen(deltas)
+        exact = np.array([curve(d).value for d in deltas])
+        assert np.all(np.abs(approx - exact) <= tol), (g, k, eu, ed)
 
     @pytest.mark.parametrize("g,k,eu,ed", [
         (0.0, 4, 0.3, 0.3), (2.0, 4, 0.3, 1.0), (2.0, 40, 0.3, 1.0),
