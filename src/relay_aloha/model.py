@@ -207,13 +207,12 @@ def _series_curve(g: float, k: int, eps_u: float, eps_d: float,
     return at
 
 
-def _kernel_terms(
-    g: float, eps_u: float, weights: tuple[float, ...], r: float
-) -> tuple[list[float], float, float]:
+def _kernel_terms(g: float, eps_u: float, weights: tuple[float, ...],
+                  r: float) -> tuple[list[float], float]:
     """w_m g e^(x_m - g) T_m(x_m) / x_m, x_m = g eps_u^m, for m = 1..k,
-    the sum of their magnitudes times r^m, and the error of the factors
-    e^(x_m - g) that are subnormal (only above g of about 708): up to
-    2^-1074 each, times |w_m g T_m(x_m) / x_m| r^m (below 2e-34 in all).
+    and the error of the factors e^(x_m - g) that are subnormal (only
+    above g of about 708): up to 2^-1074 each, times
+    |w_m g T_m(x_m) / x_m| r^m (below 2e-34 in all).
 
     e^-g H_m(x) = e^(x-g) T_m(x), T_m the Touchard polynomial; the
     eps_u^-m of each closed-form term cancels against x_m, leaving these
@@ -221,95 +220,87 @@ def _kernel_terms(
     factor finite.
     """
     out = []
-    size, power, lost = 0.0, 1.0, 0.0
+    power, lost = 1.0, 0.0
     for m, c in enumerate(weights, 1):
         p = eps_u**m
         x = g * p
         # p - 1 is exact for p >= 1/2: the exponent keeps one rounding
         e = math.exp(g * (p - 1.0) if p >= 0.5 else x - g)
         a = c * touchard_over_x(m, x) * g
-        t = a * e
         power *= r
-        size += abs(t) * power
         if e < 2.0**-1022:  # subnormal or 0
             lost += abs(a) * power
-        out.append(t)
-    return out, size, lost * _SUBNORMAL_STEP
+        out.append(a * e)
+    return out, lost * _SUBNORMAL_STEP
 
 
-def _closed_curve(
-    g: float, k: int, eps_u: float, eps_d: float, bound: bool
-) -> tuple[Callable[[float], ThroughputResult], float]:
+def _closed_curve(g: float, k: int, eps_u: float, eps_d: float,
+                  bound: bool) -> Callable[[float], ThroughputResult]:
     """The closed form as a function of delta, its k delta-free
-    coefficients computed once, and its error estimate at delta = 1, which
-    bounds every delta's (each |t_m| grows like delta^m).
+    coefficients computed once.
 
-    Both sums are sum_m t_m, t_m = w_m e^-g H_m(g eps_u^m) (r/eps_u)^m
-    with r = delta (1-eps_u) (1-eps_d) <= 1.  The terms alternate, so the
-    rounding error scales with sum|t_m|: (k + g + 8) 2^-53 sum|t_m| covers
-    the powers, the Horner evaluations and exp(x_m - g), whose argument's
-    error grows with g.  r^m is taken as mant^m 2^(e m), r = mant 2^e, so
-    no power underflows early and a term loses at most ~2^-1075 a step,
-    only if subnormal; (k+1)^2 2^-1074 covers that unless r = 0, and
-    ``lost`` (from :func:`_kernel_terms`) the subnormal kernels.  For
-    e > 0 the power is scaled before the coefficient multiplies it, as a
-    product rounded subnormal and scaled up would scale its error too.
-    Every term is finite: |t_m| <= m C(k, m) T_m(g) < 1e290 for g <= G_MAX.
+    Both sums are S = sum_m t_m, t_m = c_m r^m with c_m = w_m e^-g
+    H_m(g eps_u^m) / eps_u^m and r = delta (1-eps_u) (1-eps_d) <= 1,
+    taken by Horner's rule in r with sum|t_m| alongside.  The terms
+    alternate, so (k + g + 8) 2^-53 sum|t_m| estimates the rounding error
+    (Horner's, r's, the coefficients' and exp(x_m - g)'s, whose argument's
+    error grows with g).  A derived part covers the subnormal range: each
+    of the k products is off by at most 2^-1075 if rounded subnormal; a
+    subnormal r = fl(delta r1) is off by at most 2^-1075, which moves S
+    by |S'(r)| <= |c_1| + 1 times that (every |c_m| <= m C(k, m) T_m(g)
+    < 1e290 for g <= G_MAX); ``lost`` covers the subnormal kernels.  So
+    (k + 1 + |c_1|) 2^-1074 + lost, unless S is exactly 0 (delta or r1 0).
     """
     if k > H_MAX_ORDER:  # the Touchard table's order; eps_u may be 0
         raise ValueError(f"closed form needs k <= {H_MAX_ORDER}, got {k}")
     r1 = (1.0 - eps_u) * (1.0 - eps_d)
     weights = (_BOUND_WEIGHTS if bound else _THROUGHPUT_WEIGHTS)[k]
-    coeffs, size, lost = _kernel_terms(g, eps_u, weights, r1)
+    coeffs, lost = _kernel_terms(g, eps_u, weights, r1)
     scale = (k + g + 8) * _UNIT_ROUNDOFF
-    subnormal = (k + 1) ** 2 * _SUBNORMAL_STEP + lost
-    # r = delta r1; a subnormal delta loses no bits
-    mant_s, exp_s = math.frexp(r1)
+    tiny = (k + 1 + abs(coeffs[0])) * _SUBNORMAL_STEP + lost
+    steps = [(c, abs(c)) for c in reversed(coeffs)]
 
     def at(delta: float) -> ThroughputResult:
-        mant_d, exp_d = math.frexp(delta)
-        mant, e = mant_d * mant_s, exp_d + exp_s
-        if e > 0:
-            terms = [c * math.ldexp(mant**m, e * m)
-                     for m, c in enumerate(coeffs, 1)]
-        else:
-            terms = [math.ldexp(c * mant**m, e * m)
-                     for m, c in enumerate(coeffs, 1)]
-        err = scale * sum(map(abs, terms))
-        if mant:
-            err += subnormal
-        return ThroughputResult(math.fsum(terms), "closed_form", k, err)
+        if not delta or not r1:  # exactly +0, whatever the sign of a zero
+            return ThroughputResult(0.0, "closed_form", k, 0.0)
+        r = delta * r1
+        s = size = 0.0
+        for c, a in steps:
+            s = (s + c) * r
+            size = (size + a) * r
+        return ThroughputResult(s, "closed_form", k, scale * size + tiny)
 
     def screen(deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``at(delta).value`` for a delta array as sum_m c_m r^m, and tol.
 
-        For delta in [0, 1], r = delta r1 is ``at``'s mant 2^e, or within
-        2^-1075 of it if subnormal: 2^-1075 sum m|c_m| in the sum.  A term
-        moves by 8 2^-53 |t_m| (powers within 2 and 1 ulp, a product
-        each), 2^-1073 |c_m| if the power is subnormal or 0, 3 2^-1075 if
-        rounded subnormal; the sums by k 2^-53 sum|t_m|.  So tol = (2k + 16)
-        2^-53 sum|t_m| + 2^-1075 sum (m + 4)|c_m| + (k + 1) 2^-1072.
+        Both take r = fl(delta r1) by the same product.  ``at``'s Horner
+        rule is within 2k 2^-53 sum|t_m| of sum_m c_m r^m (Higham, 2nd
+        ed., eq. 5.3) plus 2^-1075 per product rounded subnormal.  Here a
+        term moves by 3 2^-53 |t_m| (a power within 2 ulp, a product),
+        2^-1073 |c_m| if the power is subnormal or 0, 2^-1075 if the
+        product is; the sum by k 2^-53 sum|t_m|.  So tol = (3k + 16)
+        2^-53 sum|t_m| + (2 sum|c_m| + k) 2^-1074.
         """
         import numpy as np
-        c, ms = np.array(coeffs), np.arange(1, k + 1)
-        terms = c * _power((deltas * r1)[:, None], ms)
+        c = np.array(coeffs)
+        terms = c * _power((deltas * r1)[:, None], np.arange(1, k + 1))
         return terms.sum(axis=1), (
-            (2 * k + 16) * _UNIT_ROUNDOFF * np.abs(terms).sum(axis=1)
-            + (np.abs(c) @ (ms + 4) / 2 + 4 * (k + 1)) * _SUBNORMAL_STEP)
+            (3 * k + 16) * _UNIT_ROUNDOFF * np.abs(terms).sum(axis=1)
+            + (2 * np.abs(c).sum() + k) * _SUBNORMAL_STEP)
 
     at.screen = screen
-    return at, scale * size + lost
+    return at
 
 
 def _curve(g: float, k: int, eps_u: float, eps_d: float,
            bound: bool) -> Callable[[float], ThroughputResult]:
     """Throughput, or with ``bound`` the bound, as a function of delta,
     by the one dispatch rule, decided once per curve: the closed form if
-    k <= H_MAX_ORDER and its estimate at delta = 1 is at most
-    _DISPATCH_TOL, else the series."""
+    k <= H_MAX_ORDER and its own estimate at delta = 1 (which bounds every
+    delta's) is at most _DISPATCH_TOL, else the series."""
     if k <= H_MAX_ORDER:
-        closed, err = _closed_curve(g, k, eps_u, eps_d, bound)
-        if err <= _DISPATCH_TOL:
+        closed = _closed_curve(g, k, eps_u, eps_d, bound)
+        if closed(1.0).est_abs_error <= _DISPATCH_TOL:
             return closed
     return _series_curve(g, k, eps_u, eps_d, bound)
 
@@ -351,7 +342,7 @@ def throughput_closed(params: SystemParams) -> ThroughputResult:
     is valid; k above H_MAX_ORDER is a ValueError.  The sum alternates:
     ``est_abs_error`` reports its cancellation.
     """
-    return _closed_curve(*_fields(params), False)[0](params.delta)
+    return _closed_curve(*_fields(params), False)(params.delta)
 
 
 def bound(g: float, k: int, eps_u: float) -> ThroughputResult:
@@ -385,7 +376,7 @@ def bound_closed(g: float, k: int, eps_u: float) -> ThroughputResult:
     k terms are summed.  Like :func:`throughput_closed`, it takes any
     eps_u in [0, 1] and k up to H_MAX_ORDER.
     """
-    return _closed_curve(*_check_uplink(g, k, eps_u), 0.0, True)[0](1.0)
+    return _closed_curve(*_check_uplink(g, k, eps_u), 0.0, True)(1.0)
 
 
 def peak_load(eps_u: float) -> float:

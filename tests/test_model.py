@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -620,6 +621,38 @@ class TestClosedFormErrorEstimate:
             assert r.method == "closed_form"
             assert_within_estimate(r, ref, 3000)
 
+    @pytest.mark.parametrize("p", [
+        (1000.0, 32, 1.0 - 1e-16, 0.0, 1e-300),
+        (700.0, 32, 1.0 - 1e-16, 0.3, 1e-300),
+        (1.0, 3, 0.51, 0.0, 5e-324),  # delta r1 rounds to 0
+    ])
+    def test_subnormal_r(self, p):
+        # r = delta (1-eps_u) (1-eps_d) rounds subnormal, off by up to
+        # 2^-1075, which moves the sum by about |c_1| 2^-1075: more than
+        # the rest of the estimate when c_1 is large
+        ref = closed_form_decimal(*p, 3000)
+        for r in (throughput_closed(SystemParams(*p)),
+                  throughput(SystemParams(*p))):
+            assert r.method == "closed_form"
+            assert r.est_abs_error > 0.0
+            assert_within_estimate(r, ref, 3000)
+
+    @given(
+        g=st.floats(min_value=0.0, max_value=G_MAX, exclude_min=True),
+        k=st.integers(min_value=1, max_value=H_MAX_ORDER),
+        eu=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        ed=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        d=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    )
+    @example(g=1.0, k=3, eu=0.51, ed=0.0, d=5e-324)
+    def test_estimate_is_positive_unless_the_value_is_exact(self, g, k, eu,
+                                                            ed, d):
+        # g, delta, 1 - eps_u and 1 - eps_d all positive: the sum is not
+        # exactly 0, whatever its rounded value
+        p = SystemParams(g, k, eu, ed, d)
+        assert throughput_closed(p).est_abs_error > 0
+        assert bound_closed(g, k, eu).est_abs_error > 0
+
     def test_exact_zero_has_no_error(self):
         r = throughput(SystemParams(1.3, 5, 0.3, 0.2, 0.0))
         assert (r.value, r.est_abs_error) == (0.0, 0.0)
@@ -741,3 +774,21 @@ class TestOneDispatchRule:
         assert repr(r) == repr(paths[r.method][0](p))
         r = bound(g, k, eu)
         assert repr(r) == repr(paths[r.method][1](g, k, eu))
+
+    @given(
+        g=st.floats(min_value=0.0, max_value=750.0),
+        k=st.integers(min_value=1, max_value=40),
+        eu=st.one_of(st.sampled_from([0.0, 1.0]), eps_floats),
+        ed=eps_floats,
+        d=eps_floats,
+    )
+    def test_dispatch_is_the_curves_own_estimate(self, g, k, eu, ed, d):
+        # the closed form exactly where k <= H_MAX_ORDER and its own
+        # estimate at delta = 1 is at most 1e-12
+        p = SystemParams(g, k, eu, ed, d)
+        closed = k <= H_MAX_ORDER and throughput_closed(
+            replace(p, delta=1.0)).est_abs_error <= 1e-12
+        assert (throughput(p).method == "closed_form") == closed
+        closed = k <= H_MAX_ORDER and bound_closed(
+            g, k, eu).est_abs_error <= 1e-12
+        assert (bound(g, k, eu).method == "closed_form") == closed

@@ -199,7 +199,7 @@ class TestDeltaScreen:
                                                      eu, ed):
         # either curve kind, whatever the dispatch would pick
         if kind == "closed":
-            curve = model._closed_curve(g, k, eu, ed, False)[0]
+            curve = model._closed_curve(g, k, eu, ed, False)
         else:
             curve = model._series_curve(g, k, eu, ed, False)
         deltas = np.concatenate([_EXTREME_DELTAS, _delta_array()])

@@ -1,11 +1,13 @@
 import csv
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from relay_aloha import (
+    FIGURE_IDS,
     RNG_ALGORITHM,
     RNG_LAYOUT,
     SweepSpec,
@@ -14,6 +16,7 @@ from relay_aloha import (
     delta_star_k2,
     figure_table,
     optimize_delta,
+    reproduce_figure,
     run_sweep,
     s_star_k2,
 )
@@ -21,6 +24,7 @@ from relay_aloha import sweep
 from relay_aloha.sweep import format_cell, sweep_comments, write_csv
 
 FIXED = SystemParams(1.0, 1, 0.0, 0.0, 1.0)
+DATA = Path(__file__).parent / "data"
 
 
 class TestSweepSpec:
@@ -357,3 +361,12 @@ class TestFigureTables:
     def test_unknown_figure(self):
         with pytest.raises(ValueError):
             figure_table("fig9")
+
+    @pytest.mark.parametrize("fig_id", FIGURE_IDS)
+    def test_bytes_are_pinned(self, fig_id, tmp_path):
+        # tests/data/figN.csv holds the bytes of `relay-aloha reproduce
+        # figN`; a change that moves a byte on purpose rewrites the file
+        # and lists each changed cell
+        out = tmp_path / f"{fig_id}.csv"
+        reproduce_figure(fig_id, str(out))
+        assert out.read_bytes() == (DATA / f"{fig_id}.csv").read_bytes()
